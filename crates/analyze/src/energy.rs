@@ -542,10 +542,10 @@ pub fn predict_energy(
     // Latest possible arrival: per phase, the slowest processor's compute
     // plus worst-case blocking for every potential miss (each at the
     // largest coalesced request, random positioning, full device
-    // sharing), then the jitter cap.
+    // sharing).
     let svc_req_hi = params.service_ms(options.max_request_bytes.max(1), params.max_rpm, false);
     let contention_hi = f64::from(schedule.num_procs());
-    let mut arrival_hi = options.arrival_jitter_ms;
+    let mut arrival_hi = 0.0f64;
     for p in 0..schedule.num_phases() {
         let mut phase_hi = 0.0f64;
         for q in 0..schedule.num_procs() as usize {

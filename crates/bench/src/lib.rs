@@ -539,8 +539,8 @@ fn spill_path() -> std::path::PathBuf {
 ///
 /// Reports and trace statistics are bit-identical to [`run_app`] on the
 /// same inputs: the same [`build_schedule`] order drives both pipelines,
-/// the streamed generator reproduces the batch generator's stable sort
-/// exactly, and the codec round-trips every request bit-for-bit (see
+/// both draw their requests from the one generator stream, and the codec
+/// round-trips every request bit-for-bit (see
 /// `tests/stream_equivalence.rs`).
 pub fn run_app_streamed(
     app: &BenchApp,

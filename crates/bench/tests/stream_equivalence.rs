@@ -4,9 +4,9 @@
 //! replay through `Simulator::run_stream`) must reproduce `run_app`
 //! (batch generation → `Simulator::run`) exactly: same requests, same
 //! schedules, same simulator reports, same trace statistics — across the
-//! whole Tiny suite, at 1, 2, and 8 threads, under fault injection, and
-//! with arrival jitter enabled. Floats are compared by bit pattern via
-//! the canonical rendering, so a last-ulp divergence fails the test.
+//! whole Tiny suite, at 1, 2, and 8 threads, and under fault injection.
+//! Floats are compared by bit pattern via the canonical rendering, so a
+//! last-ulp divergence fails the test.
 
 use dpm_apps::Scale;
 use dpm_bench::{run_app, run_app_streamed, AppResults, ExperimentConfig, Version};
@@ -98,19 +98,6 @@ fn fault_plan_runs_identical() {
     // And a faulty multi-proc run through the sharded streaming path.
     let app = dpm_apps::by_name("AST", Scale::Tiny).unwrap();
     assert_identical(&app, &Version::multi_cpu(), 4, &config, 8);
-}
-
-/// Arrival jitter makes per-processor emission times non-monotone, which
-/// exercises the streamed generator's reorder heap; the merge must still
-/// reproduce the batch stable sort exactly.
-#[test]
-fn jittered_arrivals_identical() {
-    let mut config = ExperimentConfig::default();
-    config.trace.arrival_jitter_ms = 0.25;
-    for app in dpm_apps::suite(Scale::Tiny).into_iter().take(3) {
-        assert_identical(&app, &Version::single_cpu(), 1, &config, 2);
-        assert_identical(&app, &Version::multi_cpu(), 4, &config, 2);
-    }
 }
 
 /// The streaming shared-system merge (`SpilledTrace::merge`) reproduces

@@ -18,8 +18,9 @@
 //!   disks across all nests.
 //!
 //! All passes emit a [`Schedule`], which implements
-//! [`dpm_trace::ExecutionOrder`] and feeds directly into the trace
-//! generator and simulator.
+//! [`dpm_trace::ExecutionOrder`]: the trace generator pulls each
+//! processor's iterations of each phase through a cursor over the
+//! schedule, and the resulting trace feeds the simulator.
 //!
 //! ```
 //! use dpm_layout::{LayoutMap, Striping};

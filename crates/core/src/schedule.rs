@@ -4,7 +4,7 @@
 
 use dpm_ir::{NestId, Program};
 use dpm_layout::LayoutMap;
-use dpm_trace::ExecutionOrder;
+use dpm_trace::{ExecutionOrder, IterCursor};
 
 /// A compact scheduled iteration: nest id plus up to
 /// [`MAX_DEPTH`](CompactIter::MAX_DEPTH) loop indices.
@@ -64,8 +64,9 @@ impl CompactIter {
 
 /// An explicit execution schedule: `phases × processors → iteration list`.
 ///
-/// Implements [`ExecutionOrder`], so it can be fed straight into the trace
-/// generator.
+/// Implements [`ExecutionOrder`] by handing out a cursor over each
+/// `(phase, proc)` iteration list, so it can be fed straight into the
+/// trace generator.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     num_procs: u32,
@@ -193,38 +194,25 @@ impl ExecutionOrder for Schedule {
         self.phases.len()
     }
 
-    fn for_each_in_phase(&self, phase: usize, proc: u32, f: &mut dyn FnMut(NestId, &[i64])) {
-        let mut buf = [0i64; CompactIter::MAX_DEPTH];
-        for it in &self.phases[phase][proc as usize] {
-            let coords = it.coords_into(&mut buf);
-            f(it.nest as NestId, coords);
-        }
+    fn cursor(&self, phase: usize, proc: u32) -> Box<dyn IterCursor + '_> {
+        Box::new(ScheduleCursor {
+            iters: self.iters(phase, proc).iter(),
+        })
     }
 }
 
-/// Index cursor over one `(phase, proc)` iteration list.
+/// Cursor over one `(phase, proc)` iteration list.
 struct ScheduleCursor<'a> {
-    iters: &'a [CompactIter],
-    idx: usize,
+    iters: std::slice::Iter<'a, CompactIter>,
 }
 
-impl dpm_trace::IterCursor for ScheduleCursor<'_> {
+impl IterCursor for ScheduleCursor<'_> {
     fn next(&mut self, point: &mut Vec<i64>) -> Option<NestId> {
-        let it = self.iters.get(self.idx)?;
-        self.idx += 1;
+        let it = self.iters.next()?;
         let mut buf = [0i64; CompactIter::MAX_DEPTH];
         point.clear();
         point.extend_from_slice(it.coords_into(&mut buf));
         Some(it.nest as NestId)
-    }
-}
-
-impl dpm_trace::StreamOrder for Schedule {
-    fn cursor(&self, phase: usize, proc: u32) -> Box<dyn dpm_trace::IterCursor + '_> {
-        Box::new(ScheduleCursor {
-            iters: self.iters(phase, proc),
-            idx: 0,
-        })
     }
 }
 
@@ -354,12 +342,12 @@ mod tests {
         assert!(Schedule::single(dup).validate_coverage(&p).is_err());
     }
 
-    /// A multi-processor, multi-phase schedule streamed through
-    /// `TraceGenerator::stream` yields the batch path's trace and stats
-    /// bit for bit — the hardest merge case (cross-processor arrival ties
-    /// at every barrier).
+    /// A multi-processor, multi-phase schedule fed through its cursors:
+    /// a drained `TraceGenerator::stream` equals `generate` and stats bit
+    /// for bit, in arrival order with both processors present — the
+    /// hardest merge case (cross-processor arrival ties at every barrier).
     #[test]
-    fn streamed_schedule_matches_batch_generation() {
+    fn streamed_schedule_matches_generate() {
         let p = prog();
         let mut s = Schedule::new(2, 2);
         dpm_trace::walk_nest(&p.nests[0], &mut |pt| {
@@ -372,12 +360,14 @@ mod tests {
             dpm_trace::TraceGenerator::new(&p, &layout, dpm_trace::TraceGenOptions::default());
         let (trace, stats) = generator.generate(&s);
         let mut stream = generator.stream(&s);
-        let mut streamed = Vec::new();
-        while let Some(r) = dpm_trace::RequestStream::next_request(&mut stream) {
-            streamed.push(r);
-        }
+        let streamed: Vec<_> =
+            std::iter::from_fn(|| dpm_trace::RequestStream::next_request(&mut stream)).collect();
         assert_eq!(streamed, trace.requests());
         assert_eq!(stream.stats(), stats);
+        assert!(streamed
+            .windows(2)
+            .all(|w| w[0].arrival_ms <= w[1].arrival_ms));
+        assert!(streamed.iter().any(|r| r.proc_id == 1));
     }
 
     #[test]
@@ -401,8 +391,12 @@ mod tests {
     fn execution_order_streams_in_schedule_order() {
         let its = vec![CompactIter::new(0, &[5, 0]), CompactIter::new(0, &[1, 1])];
         let s = Schedule::single(its);
+        let mut cursor = s.cursor(0, 0);
+        let mut pt = Vec::new();
         let mut seen = Vec::new();
-        s.for_each_in_phase(0, 0, &mut |n, pt| seen.push((n, pt.to_vec())));
+        while let Some(n) = cursor.next(&mut pt) {
+            seen.push((n, pt.clone()));
+        }
         assert_eq!(seen, vec![(0, vec![5, 0]), (0, vec![1, 1])]);
     }
 }

@@ -18,6 +18,11 @@
 //!   requests (up to a cap), the way readahead/collective I/O batches
 //!   requests in a real system.
 //!
+//! There is one generator: [`TraceGenerator::stream`] yields the trace
+//! lazily as a [`GenStream`], merging the processors' requests by arrival,
+//! and [`TraceGenerator::generate`] collects that stream into a [`Trace`].
+//! Orders reach it through [`ExecutionOrder`] cursors.
+//!
 //! ```
 //! use dpm_trace::{TraceGenerator, TraceGenOptions, OriginalOrder};
 //! use dpm_layout::{LayoutMap, Striping};
@@ -39,15 +44,16 @@
 use dpm_disksim::{DiskParams, IoRequest, RequestKind, Trace};
 use dpm_ir::{AccessKind, NestId, Program};
 use dpm_layout::LayoutMap;
-use dpm_obs::XorShift64Star;
 use std::collections::{HashSet, VecDeque};
 
 mod codec;
+mod order;
 mod stream;
 
 pub use codec::{TraceReader, TraceWriter, TRACE_MAGIC};
 pub use dpm_disksim::RequestStream;
-pub use stream::{GenStream, IterCursor, NestCursor, StreamOrder};
+pub use order::{walk_nest, ExecutionOrder, IterCursor, NestCursor, OriginalOrder, SetOrder};
+pub use stream::GenStream;
 
 /// Options controlling trace generation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -69,11 +75,6 @@ pub struct TraceGenOptions {
     /// Whether processors block for the nominal service time of each
     /// request they issue (keeps the compute/I/O balance realistic).
     pub block_on_io: bool,
-    /// Uniform random jitter (ms) added to each request's arrival time,
-    /// modeling OS scheduling noise. `0.0` (the default) keeps generation
-    /// fully deterministic; non-zero jitter uses a fixed seed, so traces
-    /// remain reproducible.
-    pub arrival_jitter_ms: f64,
 }
 
 impl Default for TraceGenOptions {
@@ -85,7 +86,6 @@ impl Default for TraceGenOptions {
             reuse_window_blocks: 128,
             streams: 8,
             block_on_io: true,
-            arrival_jitter_ms: 0.0,
         }
     }
 }
@@ -118,10 +118,10 @@ impl TraceStats {
         }
     }
 
-    /// Folds another processor's per-phase deltas into this total. Both the
-    /// serial and the parallel generation paths accumulate per-processor
-    /// deltas and merge them in processor order, so the float association
-    /// (and hence the result) is identical at any thread count.
+    /// Folds one processor's per-phase deltas into this total. The
+    /// generator merges the deltas at each barrier in processor order, so
+    /// the float association (and hence the result) is fixed by the order
+    /// alone.
     fn merge(&mut self, other: &TraceStats) {
         self.element_accesses += other.element_accesses;
         self.cache_hits += other.cache_hits;
@@ -130,148 +130,6 @@ impl TraceStats {
         self.compute_ms += other.compute_ms;
         self.io_block_ms += other.io_block_ms;
     }
-}
-
-/// An execution order: which iterations run on which processor, in what
-/// sequence. Implemented by the original program order here and by the
-/// restructurer's schedules in `dpm-core`.
-///
-/// Execution proceeds in *phases* separated by barriers: within a phase
-/// each processor runs its iteration stream independently; at a phase
-/// boundary all processors synchronize (their virtual clocks advance to
-/// the laggard's). Single-processor orders normally use one phase;
-/// multi-processor parallelizations use one phase per loop nest.
-///
-/// `Sync` is a supertrait so the generator can stream several processors'
-/// iterations concurrently (orders are read-only during generation).
-pub trait ExecutionOrder: Sync {
-    /// Number of processors.
-    fn num_procs(&self) -> u32;
-    /// Number of barrier-separated phases (default 1).
-    fn num_phases(&self) -> usize {
-        1
-    }
-    /// Streams `(nest, iteration)` pairs of processor `proc` within
-    /// `phase`, in execution order.
-    fn for_each_in_phase(&self, phase: usize, proc: u32, f: &mut dyn FnMut(NestId, &[i64]));
-}
-
-/// The untransformed order: one processor, nests in program order,
-/// iterations lexicographic.
-#[derive(Debug)]
-pub struct OriginalOrder<'p> {
-    program: &'p Program,
-}
-
-impl<'p> OriginalOrder<'p> {
-    /// Wraps a program.
-    pub fn new(program: &'p Program) -> Self {
-        OriginalOrder { program }
-    }
-}
-
-impl ExecutionOrder for OriginalOrder<'_> {
-    fn num_procs(&self) -> u32 {
-        1
-    }
-
-    fn for_each_in_phase(&self, phase: usize, proc: u32, f: &mut dyn FnMut(NestId, &[i64])) {
-        debug_assert_eq!(phase, 0);
-        debug_assert_eq!(proc, 0);
-        for (ni, nest) in self.program.nests.iter().enumerate() {
-            walk_nest(nest, &mut |pt| f(ni, pt));
-        }
-    }
-}
-
-/// An [`ExecutionOrder`] over explicit polyhedral iteration sets — the
-/// trace-generation consumer for per-disk affinity footprints such as
-/// `dpm_core::disk_iteration_sets`. Pieces are visited in insertion order
-/// (push them disk-major for the perfect-reuse order); each piece's points
-/// are streamed through one shared flat buffer ([`dpm_poly::Set::points_into`]),
-/// with `skip` leading auxiliary variables (e.g. the stripe-row counter `t`
-/// of the symbolic restructurer) stripped before the iteration reaches the
-/// generator.
-#[derive(Debug, Default)]
-pub struct SetOrder {
-    pieces: Vec<(NestId, dpm_poly::Set)>,
-    skip: usize,
-}
-
-impl SetOrder {
-    /// An empty order whose sets carry `skip` leading auxiliary variables.
-    pub fn new(skip: usize) -> Self {
-        SetOrder {
-            pieces: Vec::new(),
-            skip,
-        }
-    }
-
-    /// Appends a piece: all points of `set` (sorted lexicographically)
-    /// attributed to `nest`.
-    pub fn push(&mut self, nest: NestId, set: dpm_poly::Set) {
-        assert!(
-            set.dim() > self.skip || (set.dim() == 0 && self.skip == 0),
-            "set dimension {} leaves no iteration variables after skipping {}",
-            set.dim(),
-            self.skip
-        );
-        self.pieces.push((nest, set));
-    }
-
-    /// Number of pieces pushed so far.
-    pub fn len(&self) -> usize {
-        self.pieces.len()
-    }
-
-    /// Whether no pieces have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.pieces.is_empty()
-    }
-}
-
-impl ExecutionOrder for SetOrder {
-    fn num_procs(&self) -> u32 {
-        1
-    }
-
-    fn for_each_in_phase(&self, phase: usize, proc: u32, f: &mut dyn FnMut(NestId, &[i64])) {
-        debug_assert_eq!(phase, 0);
-        debug_assert_eq!(proc, 0);
-        let mut buf = Vec::new();
-        for (nest, set) in &self.pieces {
-            let n = set.points_into(&mut buf);
-            let dim = set.dim();
-            if dim == 0 {
-                for _ in 0..n {
-                    f(*nest, &[]);
-                }
-                continue;
-            }
-            for pt in buf.chunks(dim).take(n) {
-                f(*nest, &pt[self.skip..]);
-            }
-        }
-    }
-}
-
-/// Enumerates a nest's iterations lexicographically without materializing
-/// them.
-pub fn walk_nest(nest: &dpm_ir::LoopNest, f: &mut dyn FnMut(&[i64])) {
-    fn rec(nest: &dpm_ir::LoopNest, level: usize, point: &mut Vec<i64>, f: &mut dyn FnMut(&[i64])) {
-        if level == nest.depth() {
-            f(point);
-            return;
-        }
-        let lo = nest.loops[level].lo.eval_prefix(&point[..level]);
-        let hi = nest.loops[level].hi.eval_prefix(&point[..level]);
-        for x in lo..=hi {
-            point[level] = x;
-            rec(nest, level + 1, point, f);
-        }
-    }
-    let mut point = vec![0i64; nest.depth()];
-    rec(nest, 0, &mut point, f);
 }
 
 /// A request under assembly in one readahead stream.
@@ -321,7 +179,6 @@ impl ReuseWindow {
 /// Per-processor execution state during generation.
 struct ProcState {
     clock_ms: f64,
-    rng: XorShift64Star,
     /// Requests under assembly, one per active stream.
     pending: Vec<Pending>,
     /// Recently-touched blocks (FIFO eviction).
@@ -334,12 +191,31 @@ struct ProcState {
     split_buf: Vec<(usize, u64, u64)>,
     /// Scratch for subscript evaluation (reused across accesses).
     coords_buf: Vec<i64>,
-    requests: Vec<IoRequest>,
+    /// Emitted requests not yet taken by the merge, in emission order
+    /// (which is non-decreasing arrival order; see the `stream` module).
+    requests: VecDeque<IoRequest>,
 }
 
 impl ProcState {
-    fn jitter(&mut self, max_ms: f64) -> f64 {
-        self.rng.uniform(max_ms)
+    fn new(options: &TraceGenOptions, num_disks: usize) -> ProcState {
+        ProcState {
+            clock_ms: 0.0,
+            pending: Vec::new(),
+            recent: ReuseWindow::with_capacity(options.reuse_window_blocks),
+            disk_streams: vec![VecDeque::new(); num_disks],
+            split_buf: Vec::new(),
+            coords_buf: Vec::new(),
+            requests: VecDeque::new(),
+        }
+    }
+
+    /// Lower bound on the arrival of this processor's next emission: a
+    /// pending request emits at its `first_ms`, and a request opened later
+    /// starts at the clock, which never moves backwards.
+    fn watermark_ms(&self) -> f64 {
+        self.pending
+            .iter()
+            .fold(self.clock_ms, |w, p| w.min(p.first_ms))
     }
 }
 
@@ -370,101 +246,48 @@ impl<'p> TraceGenerator<'p> {
         self
     }
 
-    /// Runs the program in the given order, returning the merged trace and
-    /// generation statistics. Phase boundaries act as barriers: every
-    /// processor's clock advances to the slowest one's before the next
-    /// phase starts, and pending requests are flushed.
+    /// Runs the program in the given order, returning the whole trace and
+    /// the generation statistics: [`stream`](Self::stream) collected into a
+    /// [`Trace`]. Phase boundaries act as barriers: every processor's
+    /// clock advances to the slowest one's before the next phase starts,
+    /// and pending requests are flushed.
     pub fn generate(&self, order: &dyn ExecutionOrder) -> (Trace, TraceStats) {
-        let mut sp = dpm_obs::span!("trace_generate");
         let _prof = dpm_prof::scope("trace_gen");
-        let mut stats = TraceStats::default();
-        let mut all = Vec::new();
-        let nprocs = order.num_procs();
-        sp.add("procs", u64::from(nprocs));
-        sp.add("phases", order.num_phases() as u64);
-        // Within a phase the processors are independent (they synchronize
-        // only at phase boundaries), so each phase fans the per-processor
-        // streams out to the global persistent pool. `par_map_vec`
-        // returns states in processor order, and per-processor stat
-        // deltas are merged in that same order, so any thread count
-        // (including 1) produces identical traces and stats.
-        let mut states: Vec<ProcState> = (0..nprocs)
-            .map(|proc| ProcState {
-                clock_ms: 0.0,
-                rng: XorShift64Star::new(0x5eed_0000 + proc as u64),
-                pending: Vec::new(),
-                recent: ReuseWindow::with_capacity(self.options.reuse_window_blocks),
-                disk_streams: vec![VecDeque::new(); self.layout.striping().num_disks()],
-                split_buf: Vec::new(),
-                coords_buf: Vec::new(),
-                requests: Vec::new(),
-            })
-            .collect();
-        for phase in 0..order.num_phases() {
-            // Device-sharing estimate for this phase: a processor's I/O
-            // blocking scales with the number of processors whose disk
-            // footprints overlap its own (a disk time-shares its bandwidth
-            // among the processors driving it). A layout-aware partition
-            // with disjoint per-processor disk groups therefore pays no
-            // contention, while a naive parallelization in which every
-            // processor sweeps every disk pays the full factor.
-            let masks = self.phase_disk_masks(order, phase);
-            let ran = dpm_exec::par_map_vec(std::mem::take(&mut states), |proc, mut st| {
-                let contention = contention_factor(&masks, proc);
-                let mut delta = TraceStats::default();
-                order.for_each_in_phase(phase, proc as u32, &mut |nest, iter| {
-                    self.execute_iteration(
-                        nest,
-                        iter,
-                        proc as u32,
-                        contention,
-                        &mut st,
-                        &mut delta,
-                    );
-                });
-                self.flush_all(proc as u32, contention, &mut st, &mut delta);
-                (st, delta)
-            });
-            for (st, delta) in ran {
-                stats.merge(&delta);
-                states.push(st);
-            }
-            // Barrier: synchronize clocks.
-            let max_clock = states.iter().map(|s| s.clock_ms).fold(0.0_f64, f64::max);
-            for st in &mut states {
-                st.clock_ms = max_clock;
-            }
-        }
-        for st in states {
-            all.extend(st.requests);
-        }
-        sp.add("requests", stats.requests);
-        sp.add("cache_hits", stats.cache_hits);
-        sp.add("element_accesses", stats.element_accesses);
-        (Trace::from_requests(all), stats)
+        let mut stream = self.stream(order);
+        let requests = std::iter::from_fn(|| stream.next_request()).collect();
+        (Trace::from_requests(requests), stream.stats())
     }
 
-    /// Disk footprint (bitmask) of each processor within one phase.
+    /// Disk footprint (bitmask) of each processor within one phase, for
+    /// the device-sharing estimate: a processor's I/O blocking scales with
+    /// the number of processors whose disk footprints overlap its own (a
+    /// disk time-shares its bandwidth among the processors driving it). A
+    /// layout-aware partition with disjoint per-processor disk groups
+    /// therefore pays no contention, while a naive parallelization in
+    /// which every processor sweeps every disk pays the full factor.
     fn phase_disk_masks(&self, order: &dyn ExecutionOrder, phase: usize) -> Vec<u64> {
-        let nprocs = order.num_procs() as usize;
+        let nprocs = order.num_procs();
         if nprocs == 1 {
             return vec![0u64];
         }
-        let procs: Vec<u32> = (0..nprocs as u32).collect();
-        dpm_exec::par_map_indexed(&procs, |_, &proc| {
-            let mut mask = 0u64;
-            let mut coords = Vec::new();
-            order.for_each_in_phase(phase, proc, &mut |nest, iter| {
-                for stmt in &self.program.nests[nest].body {
-                    for r in &stmt.refs {
-                        r.element_at_into(iter, &mut coords);
-                        let d = self.layout.disk_of_element(self.program, r.array, &coords);
-                        mask |= 1 << (d as u64 % 64);
+        let mut point = Vec::new();
+        let mut coords = Vec::new();
+        (0..nprocs)
+            .map(|proc| {
+                let mut mask = 0u64;
+                let mut cursor = order.cursor(phase, proc);
+                while let Some(nest) = cursor.next(&mut point) {
+                    for stmt in &self.program.nests[nest].body {
+                        for r in &stmt.refs {
+                            r.element_at_into(&point, &mut coords);
+                            let d = self.layout.disk_of_element(self.program, r.array, &coords);
+                            mask |= 1 << (d as u64 % 64);
+                        }
                     }
                 }
-            });
-            mask
-        })
+                mask
+            })
+            .collect()
     }
 
     fn execute_iteration(
@@ -602,14 +425,13 @@ impl<'p> TraceGenerator<'p> {
         st: &mut ProcState,
         stats: &mut TraceStats,
     ) {
-        let arrival = p.first_ms + st.jitter(self.options.arrival_jitter_ms);
         if dpm_obs::enabled() {
             dpm_obs::emit(
                 dpm_obs::kind::REQUEST,
                 "io_request",
                 &[
                     ("proc", proc.into()),
-                    ("at_ms", arrival.into()),
+                    ("at_ms", p.first_ms.into()),
                     ("offset", p.offset.into()),
                     ("len", p.len.into()),
                     (
@@ -623,8 +445,8 @@ impl<'p> TraceGenerator<'p> {
                 ],
             );
         }
-        st.requests.push(IoRequest {
-            arrival_ms: arrival,
+        st.requests.push_back(IoRequest {
+            arrival_ms: p.first_ms,
             offset: p.offset,
             len: p.len,
             kind: p.kind,
@@ -706,6 +528,7 @@ pub fn disk_switch_count(trace: &Trace, striping: &dpm_layout::Striping) -> u64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::tests::VecOrder;
     use dpm_layout::Striping;
 
     fn program(src: &str) -> Program {
@@ -755,29 +578,6 @@ mod tests {
         let (base_trace, base_stats) = gen.generate(&OriginalOrder::new(&p));
         assert_eq!(trace.requests(), base_trace.requests());
         assert_eq!(stats, base_stats);
-    }
-
-    /// The `skip` prefix strips auxiliary variables (the symbolic
-    /// restructurer's stripe-row counter `t`) before iterations reach the
-    /// generator.
-    #[test]
-    fn set_order_strips_auxiliary_prefix() {
-        // (t, i) with i = 4t .. 4t+3, t in 0..=3: i sweeps 0..=15 in order.
-        let t = dpm_poly::LinExpr::var(2, 0);
-        let i = dpm_poly::LinExpr::var(2, 1);
-        let piece = dpm_poly::Polyhedron::universe(2)
-            .with_range(0, 0, 3)
-            .with(dpm_poly::Constraint::geq(&i, &t.scaled(4)))
-            .with(dpm_poly::Constraint::leq(&i, &t.scaled(4).plus_const(3)));
-        let mut order = SetOrder::new(1);
-        order.push(0, dpm_poly::Set::from(piece));
-        let mut seen = Vec::new();
-        order.for_each_in_phase(0, 0, &mut |ni, pt| {
-            assert_eq!(ni, 0);
-            assert_eq!(pt.len(), 1);
-            seen.push(pt[0]);
-        });
-        assert_eq!(seen, (0..16).collect::<Vec<i64>>());
     }
 
     #[test]
@@ -888,26 +688,6 @@ mod tests {
     fn phase_barriers_synchronize_clocks() {
         // Two phases; proc 1 does nothing in phase 0. Its phase-1 requests
         // must still start no earlier than proc 0's phase-0 finish.
-        struct TwoPhase<'p>(&'p Program);
-        impl ExecutionOrder for TwoPhase<'_> {
-            fn num_procs(&self) -> u32 {
-                2
-            }
-            fn num_phases(&self) -> usize {
-                2
-            }
-            fn for_each_in_phase(
-                &self,
-                phase: usize,
-                proc: u32,
-                f: &mut dyn FnMut(NestId, &[i64]),
-            ) {
-                // Phase 0: proc 0 runs the whole nest; phase 1: proc 1 does.
-                if (phase == 0 && proc == 0) || (phase == 1 && proc == 1) {
-                    walk_nest(&self.0.nests[0], &mut |pt| f(0, pt));
-                }
-            }
-        }
         let p = sequential_program();
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let opts = TraceGenOptions {
@@ -915,7 +695,10 @@ mod tests {
             ..TraceGenOptions::default()
         };
         let gen = TraceGenerator::new(&p, &layout, opts);
-        let (trace, _) = gen.generate(&TwoPhase(&p));
+        // Phase 0: proc 0 runs the whole nest; phase 1: proc 1 does.
+        let mut order = VecOrder::split(&p, 2, 2, |_| (0, 0));
+        order.lanes[1][1] = order.lanes[0][0].clone();
+        let (trace, _) = gen.generate(&order);
         let p0_last = trace
             .requests()
             .iter()
@@ -938,29 +721,12 @@ mod tests {
     fn contention_scales_blocking_for_overlapping_footprints() {
         // Two procs sweeping the SAME data: each must be paced ~2x slower
         // than a single proc doing half the work.
-        struct Shared<'p>(&'p Program, u32);
-        impl ExecutionOrder for Shared<'_> {
-            fn num_procs(&self) -> u32 {
-                self.1
-            }
-            fn for_each_in_phase(
-                &self,
-                _phase: usize,
-                proc: u32,
-                f: &mut dyn FnMut(NestId, &[i64]),
-            ) {
-                walk_nest(&self.0.nests[0], &mut |pt| {
-                    if (pt[1].rem_euclid(self.1 as i64)) as u32 == proc {
-                        f(0, pt);
-                    }
-                });
-            }
-        }
         let p = sequential_program();
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (_, one) = gen.generate(&Shared(&p, 1));
-        let (_, two) = gen.generate(&Shared(&p, 2));
+        let shared = |n: u32| VecOrder::split(&p, n, 1, |pt| (0, pt[1] as u32 % n));
+        let (_, one) = gen.generate(&shared(1));
+        let (_, two) = gen.generate(&shared(2));
         // Same bytes moved, but the two-proc run blocks ~2x per request.
         let per_req_1 = one.io_block_ms / one.requests.max(1) as f64;
         let per_req_2 = two.io_block_ms / two.requests.max(1) as f64;
@@ -971,59 +737,12 @@ mod tests {
     }
 
     #[test]
-    fn jitter_perturbs_but_preserves_requests() {
-        let p = sequential_program();
-        let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
-        let plain = TraceGenerator::new(&p, &layout, TraceGenOptions::default())
-            .generate(&OriginalOrder::new(&p));
-        let jopts = TraceGenOptions {
-            arrival_jitter_ms: 2.0,
-            ..TraceGenOptions::default()
-        };
-        let jittered = TraceGenerator::new(&p, &layout, jopts).generate(&OriginalOrder::new(&p));
-        assert_eq!(plain.0.len(), jittered.0.len());
-        assert_eq!(plain.1.bytes, jittered.1.bytes);
-        // Deterministic seed: same run twice is identical.
-        let again = TraceGenerator::new(&p, &layout, jopts).generate(&OriginalOrder::new(&p));
-        assert_eq!(
-            jittered.0.requests()[0].arrival_ms,
-            again.0.requests()[0].arrival_ms
-        );
-        // And at least one arrival actually moved.
-        let moved = plain
-            .0
-            .requests()
-            .iter()
-            .zip(jittered.0.requests())
-            .any(|(a, b)| (a.arrival_ms - b.arrival_ms).abs() > 1e-9);
-        assert!(moved);
-    }
-
-    #[test]
     fn multi_proc_order_merges_by_time() {
-        struct TwoProcs<'p>(&'p Program);
-        impl ExecutionOrder for TwoProcs<'_> {
-            fn num_procs(&self) -> u32 {
-                2
-            }
-            fn for_each_in_phase(
-                &self,
-                _phase: usize,
-                proc: u32,
-                f: &mut dyn FnMut(NestId, &[i64]),
-            ) {
-                // Processor p executes the half of nest 0 with i % 2 == p.
-                walk_nest(&self.0.nests[0], &mut |pt| {
-                    if (pt[0] % 2) as u32 == proc {
-                        f(0, pt);
-                    }
-                });
-            }
-        }
         let p = sequential_program();
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (trace, _) = gen.generate(&TwoProcs(&p));
+        // Processor p executes the half of nest 0 with i % 2 == p.
+        let (trace, _) = gen.generate(&VecOrder::split(&p, 2, 1, |pt| (0, pt[0] as u32 % 2)));
         let procs: std::collections::HashSet<u32> =
             trace.requests().iter().map(|r| r.proc_id).collect();
         assert_eq!(procs.len(), 2);

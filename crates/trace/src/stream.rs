@@ -1,344 +1,88 @@
-//! Pull-based trace generation: the streaming counterpart of
-//! [`TraceGenerator::generate`](crate::TraceGenerator::generate).
+//! The trace generator: [`GenStream`] runs each processor's lane of an
+//! [`ExecutionOrder`] and merges the lanes' requests by arrival, one
+//! request at a time.
 //!
-//! The batch path materializes every processor's requests and stable-sorts
-//! them by arrival; at `Scale::Full` that is gigabytes of `IoRequest`s. The
-//! streaming path produces the *same sequence* one request at a time:
+//! **The order.** By definition the trace is every lane of each phase run
+//! to completion, the requests concatenated in processor order and
+//! stable-sorted by `arrival_ms` (`total_cmp`): a sort by the key
+//! `(arrival, proc, seq)`. The tests check the stream against exactly
+//! that reference.
 //!
-//! * an [`IterCursor`] walks one processor's iterations of one phase
-//!   lazily (the [`StreamOrder`] trait supplies cursors; closed-form orders
-//!   like [`OriginalOrder`](crate::OriginalOrder) and
-//!   [`SetOrder`](crate::SetOrder) need no materialization at all);
-//! * [`GenStream`] drives all processors' cursors in lockstep and merges
-//!   their emissions with a watermark rule that reproduces the batch
-//!   path's stable sort **bit for bit** — including under non-zero arrival
-//!   jitter, where a processor's own emissions are not monotone.
+//! **Why a FIFO merge is exact.** A lane emits in non-decreasing arrival
+//! order. A request arrives at its `first_ms`, the lane clock when it
+//! opened, and clocks never move backwards. Eviction takes the oldest
+//! pending request, a phase-end flush sorts by `first_ms`, and a request
+//! opened later starts at the clock, which is at least every pending
+//! `first_ms`. So a lane's buffer is already in key order, and a running
+//! lane's future emissions are at least its watermark
+//! `W = min(min pending first_ms, clock)`. A lane done with the phase
+//! emits next at the barrier, at no less than the largest clock any lane
+//! has reached, and after the last phase it emits nothing. The lane with
+//! the least `(head or bound, proc)` holds the merge back; if it has a
+//! head, nothing anywhere can precede it, so it is released.
 //!
-//! Resident memory is O(processors × (pending streams + reuse window +
-//! in-flight merge buffer)) — independent of trace length.
-//!
-//! ## Why the merge is exact
-//!
-//! The batch path concatenates per-processor request vectors (processor
-//! order, emission order within a processor, phases in sequence) and
-//! stable-sorts by `arrival_ms` (`total_cmp`). That is precisely the
-//! sequence sorted by the key `(arrival, proc, seq)` where `seq` numbers a
-//! processor's emissions across the whole run. `GenStream` buffers each
-//! processor's emissions in a min-heap on `(arrival, seq)` and releases a
-//! processor's head only when no *future* emission anywhere can precede it
-//! under that key. A processor's future arrivals are bounded below by its
-//! watermark `W = min(min pending first_ms, clock)`: a pending request
-//! emits at `first_ms + jitter ≥ first_ms`, and a request opened later has
-//! `first_ms ≥ clock` (clocks never move backwards — compute and blocking
-//! only add time, and barriers take the max). So the head with the
-//! smallest `(arrival, proc)` among heads with `arrival ≤ own W` is safe
-//! to release once it also precedes `(min(head, W), proc)` of every other
-//! processor.
+//! **Cost and memory.** Lanes are independent within a phase, so running
+//! one ahead changes only buffering. The lane holding the merge back, when
+//! it has nothing buffered, is driven for [`RUN_AHEAD`] emissions (or to
+//! its phase end) and its watermark recomputed once, not per iteration.
+//! Only that lane is driven, so resident memory is
+//! O(processors × ([`RUN_AHEAD`] + pending streams + reuse window)).
 
-use crate::{contention_factor, ExecutionOrder, ProcState, TraceGenerator, TraceStats};
+use crate::{contention_factor, ExecutionOrder, IterCursor, ProcState, TraceGenerator, TraceStats};
 use dpm_disksim::{IoRequest, RequestStream};
-use dpm_ir::{LoopNest, NestId, Program};
-use dpm_obs::XorShift64Star;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 
-/// A lazy walk over `(nest, iteration)` pairs: the pull-based counterpart
-/// of [`ExecutionOrder::for_each_in_phase`].
-pub trait IterCursor {
-    /// Writes the next iteration's coordinates into `point` and returns
-    /// its nest, or `None` when the walk is exhausted.
-    fn next(&mut self, point: &mut Vec<i64>) -> Option<NestId>;
-}
+/// Emissions a lane is run ahead by when it holds the merge back.
+const RUN_AHEAD: usize = 256;
 
-/// An [`ExecutionOrder`] that can also hand out per-`(phase, proc)`
-/// cursors, so the trace generator can stream it without materializing
-/// iteration lists.
-///
-/// Contract: the cursor must yield exactly the pairs
-/// [`for_each_in_phase`](ExecutionOrder::for_each_in_phase) would visit,
-/// in the same order — that is what makes the streamed trace bit-identical
-/// to the batch trace.
-pub trait StreamOrder: ExecutionOrder {
-    /// A cursor over processor `proc`'s iterations within `phase`.
-    fn cursor(&self, phase: usize, proc: u32) -> Box<dyn IterCursor + '_>;
-}
-
-/// Lexicographic odometer over one loop nest: the lazy equivalent of
-/// [`walk_nest`](crate::walk_nest), handling dynamic (prefix-dependent)
-/// bounds and empty ranges at any level.
-pub struct NestCursor<'a> {
-    nest: &'a LoopNest,
-    point: Vec<i64>,
-    his: Vec<i64>,
-    started: bool,
-    done: bool,
-}
-
-impl<'a> NestCursor<'a> {
-    /// A cursor positioned before the nest's first iteration.
-    pub fn new(nest: &'a LoopNest) -> NestCursor<'a> {
-        let d = nest.depth();
-        NestCursor {
-            nest,
-            point: vec![0; d],
-            his: vec![0; d],
-            started: false,
-            done: false,
-        }
-    }
-
-    /// The next iteration point, in the order `walk_nest` visits them.
-    pub fn next_point(&mut self) -> Option<&[i64]> {
-        if self.done {
-            return None;
-        }
-        let dim = self.nest.depth();
-        if dim == 0 {
-            // A depth-0 nest has exactly one (empty) iteration.
-            if self.started {
-                self.done = true;
-                return None;
-            }
-            self.started = true;
-            return Some(&self.point);
-        }
-        let (mut level, mut entering) = if self.started {
-            (dim - 1, false)
-        } else {
-            self.started = true;
-            (0, true)
-        };
-        loop {
-            if entering {
-                let lo = self.nest.loops[level].lo.eval_prefix(&self.point[..level]);
-                let hi = self.nest.loops[level].hi.eval_prefix(&self.point[..level]);
-                if lo > hi {
-                    if level == 0 {
-                        self.done = true;
-                        return None;
-                    }
-                    level -= 1;
-                    entering = false;
-                    continue;
-                }
-                self.point[level] = lo;
-                self.his[level] = hi;
-            } else {
-                if self.point[level] >= self.his[level] {
-                    if level == 0 {
-                        self.done = true;
-                        return None;
-                    }
-                    level -= 1;
-                    continue;
-                }
-                self.point[level] += 1;
-            }
-            if level + 1 == dim {
-                return Some(&self.point);
-            }
-            level += 1;
-            entering = true;
-        }
-    }
-}
-
-/// Cursor over a whole program: nests in program order, iterations
-/// lexicographic — [`OriginalOrder`](crate::OriginalOrder)'s walk.
-struct OriginalCursor<'a> {
-    program: &'a Program,
-    nest: usize,
-    cur: Option<NestCursor<'a>>,
-}
-
-impl IterCursor for OriginalCursor<'_> {
-    fn next(&mut self, point: &mut Vec<i64>) -> Option<NestId> {
-        loop {
-            if self.nest >= self.program.nests.len() {
-                return None;
-            }
-            let cur = self
-                .cur
-                .get_or_insert_with(|| NestCursor::new(&self.program.nests[self.nest]));
-            if let Some(pt) = cur.next_point() {
-                point.clear();
-                point.extend_from_slice(pt);
-                return Some(self.nest);
-            }
-            self.cur = None;
-            self.nest += 1;
-        }
-    }
-}
-
-impl StreamOrder for crate::OriginalOrder<'_> {
-    fn cursor(&self, phase: usize, proc: u32) -> Box<dyn IterCursor + '_> {
-        debug_assert_eq!(phase, 0);
-        debug_assert_eq!(proc, 0);
-        Box::new(OriginalCursor {
-            program: self.program,
-            nest: 0,
-            cur: None,
-        })
-    }
-}
-
-/// Cursor over a [`SetOrder`](crate::SetOrder): pieces in insertion order,
-/// each piece's points streamed lazily through
-/// [`dpm_poly::Set::cursor`] (proven to match the sorted enumeration the
-/// batch path uses), with the auxiliary `skip` prefix stripped.
-struct SetOrderCursor<'a> {
-    order: &'a crate::SetOrder,
-    piece: usize,
-    cur: Option<dpm_poly::SetCursor<'a>>,
-}
-
-impl IterCursor for SetOrderCursor<'_> {
-    fn next(&mut self, point: &mut Vec<i64>) -> Option<NestId> {
-        loop {
-            let (nest, set) = self.order.pieces.get(self.piece)?;
-            let cur = self.cur.get_or_insert_with(|| set.cursor());
-            if let Some(pt) = cur.next_point() {
-                point.clear();
-                point.extend_from_slice(&pt[self.order.skip..]);
-                return Some(*nest);
-            }
-            self.cur = None;
-            self.piece += 1;
-        }
-    }
-}
-
-impl StreamOrder for crate::SetOrder {
-    fn cursor(&self, phase: usize, proc: u32) -> Box<dyn IterCursor + '_> {
-        debug_assert_eq!(phase, 0);
-        debug_assert_eq!(proc, 0);
-        Box::new(SetOrderCursor {
-            order: self,
-            piece: 0,
-            cur: None,
-        })
-    }
-}
-
-/// One request buffered in a processor's release heap, ordered by
-/// `(arrival bits, emission seq)`. Arrivals are finite and non-negative,
-/// so their IEEE-754 bit patterns order exactly like `total_cmp`.
-struct Buffered {
-    key: (u64, u64),
-    req: IoRequest,
-}
-
-impl PartialEq for Buffered {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Buffered {}
-impl PartialOrd for Buffered {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Buffered {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-/// One processor's lane of the lockstep merge.
+/// One processor's lane of the merge.
 struct Lane<'g> {
     st: ProcState,
-    /// `Some` while the lane still has iterations (or a pending flush) in
-    /// the current phase; `None` once the phase's emissions are complete.
+    /// `Some` while the lane still has iterations (or its end-of-phase
+    /// flush) in the current phase; `None` once the phase's emissions are
+    /// complete.
     cursor: Option<Box<dyn IterCursor + 'g>>,
-    flushed: bool,
-    /// This phase's stat deltas, merged at the barrier in processor order
-    /// (the batch path's association, so stats match bit for bit).
+    /// Cached [`ProcState::watermark_ms`] bits, refreshed whenever the
+    /// lane is driven and at each barrier.
+    watermark: u64,
+    /// This phase's stat deltas, merged at the barrier in processor order.
     delta: TraceStats,
-    heap: BinaryHeap<Reverse<Buffered>>,
-    seq: u64,
 }
 
-impl Lane<'_> {
-    /// Lower bound (as arrival bits) on this lane's future emissions.
-    fn watermark_bits(&self, run_finished: bool) -> u64 {
-        if run_finished {
-            return f64::INFINITY.to_bits();
-        }
-        let mut w = self.st.clock_ms;
-        for p in &self.st.pending {
-            w = w.min(p.first_ms);
-        }
-        w.to_bits()
-    }
-
-    fn head_bits(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(b)| b.key.0)
-    }
-
-    fn drain_emitted(&mut self) {
-        for req in self.st.requests.drain(..) {
-            self.heap.push(Reverse(Buffered {
-                key: (req.arrival_ms.to_bits(), self.seq),
-                req,
-            }));
-            self.seq += 1;
-        }
-    }
-}
-
-/// A [`RequestStream`] that *generates* the trace on demand — the
-/// streaming form of [`TraceGenerator::generate`], bit-identical to it in
-/// request sequence and [`TraceStats`].
-///
-/// Create with [`TraceGenerator::stream`]; consume via
-/// [`RequestStream::next_request`] (e.g. feed it straight to
-/// `Simulator::run_stream`) or spill it through the binary codec. Call
-/// [`stats`](GenStream::stats) after exhaustion for the generation
-/// statistics.
-///
-/// Generation is single-threaded (the lockstep merge is inherently
-/// serial); at scale the parallelism lives in the simulator's sharded
-/// event loop instead.
+/// A [`RequestStream`] that *generates* the trace on demand. Create with
+/// [`TraceGenerator::stream`]; feed it to `Simulator::run_stream`, spill
+/// it through the codec, or collect it with [`TraceGenerator::generate`].
+/// [`stats`](GenStream::stats) is complete after exhaustion. Generation is
+/// serial; parallelism lives in the experiment matrix and the simulator.
 pub struct GenStream<'g> {
     generator: &'g TraceGenerator<'g>,
-    order: &'g dyn StreamOrder,
+    order: &'g dyn ExecutionOrder,
     lanes: Vec<Lane<'g>>,
     phase: usize,
+    num_phases: usize,
+    /// Largest clock any lane has reached: the next barrier's clock is at
+    /// least this.
+    max_clock: f64,
     contention: Vec<f64>,
     stats: TraceStats,
     point: Vec<i64>,
-    run_finished: bool,
     span: Option<dpm_obs::SpanGuard>,
 }
 
 impl<'p> TraceGenerator<'p> {
     /// Streams the program's trace in the given order, one request at a
-    /// time. The yielded sequence (and final [`GenStream::stats`]) is
-    /// bit-identical to [`generate`](Self::generate) on the same order.
-    pub fn stream<'g>(&'g self, order: &'g dyn StreamOrder) -> GenStream<'g> {
-        let mut sp = dpm_obs::span("trace_stream");
+    /// time, in the order described in the [`GenStream`] docs.
+    pub fn stream<'g>(&'g self, order: &'g dyn ExecutionOrder) -> GenStream<'g> {
+        let mut sp = dpm_obs::span("trace_generate");
         let nprocs = order.num_procs();
         sp.add("procs", u64::from(nprocs));
         sp.add("phases", order.num_phases() as u64);
+        let num_disks = self.layout.striping().num_disks();
         let lanes = (0..nprocs)
-            .map(|proc| Lane {
-                st: ProcState {
-                    clock_ms: 0.0,
-                    rng: XorShift64Star::new(0x5eed_0000 + u64::from(proc)),
-                    pending: Vec::new(),
-                    recent: crate::ReuseWindow::with_capacity(self.options.reuse_window_blocks),
-                    disk_streams: vec![VecDeque::new(); self.layout.striping().num_disks()],
-                    split_buf: Vec::new(),
-                    coords_buf: Vec::new(),
-                    requests: Vec::new(),
-                },
+            .map(|_| Lane {
+                st: ProcState::new(&self.options, num_disks),
                 cursor: None,
-                flushed: false,
+                watermark: 0,
                 delta: TraceStats::default(),
-                heap: BinaryHeap::new(),
-                seq: 0,
             })
             .collect();
         let mut s = GenStream {
@@ -346,151 +90,136 @@ impl<'p> TraceGenerator<'p> {
             order,
             lanes,
             phase: 0,
+            num_phases: order.num_phases(),
+            max_clock: 0.0,
             contention: Vec::new(),
             stats: TraceStats::default(),
             point: Vec::new(),
-            run_finished: order.num_phases() == 0,
             span: Some(sp),
         };
-        if !s.run_finished {
-            s.start_phase();
-        }
+        s.open_phase();
         s
     }
 }
 
 impl GenStream<'_> {
-    /// Generation statistics. Complete (and equal to the batch path's)
-    /// once the stream has been exhausted; partial before that.
+    /// Generation statistics. Complete once the stream has been
+    /// exhausted; partial before that.
     pub fn stats(&self) -> TraceStats {
         self.stats
     }
 
     /// Whether every request has been yielded.
     pub fn is_finished(&self) -> bool {
-        self.run_finished && self.lanes.iter().all(|l| l.heap.is_empty())
+        self.phase >= self.num_phases && self.lanes.iter().all(|l| l.st.requests.is_empty())
     }
 
-    fn start_phase(&mut self) {
+    /// Opens the current phase, or closes the generation span once every
+    /// phase has run.
+    fn open_phase(&mut self) {
+        if self.phase >= self.num_phases {
+            if let Some(mut sp) = self.span.take() {
+                sp.add("requests", self.stats.requests);
+                sp.add("cache_hits", self.stats.cache_hits);
+                sp.add("element_accesses", self.stats.element_accesses);
+            }
+            return;
+        }
         let masks = self.generator.phase_disk_masks(self.order, self.phase);
         self.contention = (0..self.lanes.len())
             .map(|p| contention_factor(&masks, p))
             .collect();
         for (proc, lane) in self.lanes.iter_mut().enumerate() {
             lane.cursor = Some(self.order.cursor(self.phase, proc as u32));
-            lane.flushed = false;
+            lane.watermark = lane.st.watermark_ms().to_bits();
         }
     }
 
-    /// Advances lane `i` by one iteration (or its end-of-phase flush) and
-    /// buffers whatever it emitted.
-    fn drive(&mut self, i: usize) {
-        let lane = &mut self.lanes[i];
-        let contention = self.contention[i];
-        if let Some(cursor) = lane.cursor.as_mut() {
+    /// Lower bound (as arrival bits) on the next request lane `lane` can
+    /// yield. Arrivals are finite and non-negative, so their IEEE-754 bit
+    /// patterns order exactly like `total_cmp`.
+    fn bound(&self, lane: &Lane<'_>) -> u64 {
+        match lane.st.requests.front() {
+            Some(r) => r.arrival_ms.to_bits(),
+            None if lane.cursor.is_some() => lane.watermark,
+            None if self.phase + 1 < self.num_phases => self.max_clock.to_bits(),
+            None => f64::INFINITY.to_bits(),
+        }
+    }
+
+    /// The lane with the least `(bound, proc)` among those `keep` admits.
+    fn least(&self, keep: impl Fn(&Lane<'_>) -> bool) -> Option<usize> {
+        self.lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| keep(l))
+            .map(|(q, l)| (self.bound(l), q))
+            .min()
+            .map(|(_, q)| q)
+    }
+
+    /// Runs lane `q` until it has emitted [`RUN_AHEAD`] more requests or
+    /// finished the phase (flushing its pending requests).
+    fn drive(&mut self, q: usize) {
+        let lane = &mut self.lanes[q];
+        let contention = self.contention[q];
+        let target = lane.st.requests.len() + RUN_AHEAD;
+        while let Some(cursor) = lane.cursor.as_mut() {
             if let Some(nest) = cursor.next(&mut self.point) {
                 self.generator.execute_iteration(
                     nest,
                     &self.point,
-                    i as u32,
+                    q as u32,
                     contention,
                     &mut lane.st,
                     &mut lane.delta,
                 );
+                if lane.st.requests.len() >= target {
+                    break;
+                }
             } else {
                 self.generator
-                    .flush_all(i as u32, contention, &mut lane.st, &mut lane.delta);
+                    .flush_all(q as u32, contention, &mut lane.st, &mut lane.delta);
                 lane.cursor = None;
-                lane.flushed = true;
             }
-            lane.drain_emitted();
         }
+        lane.watermark = lane.st.watermark_ms().to_bits();
+        self.max_clock = self.max_clock.max(lane.st.clock_ms);
     }
 
     /// All lanes done with the current phase: merge stats in processor
-    /// order, synchronize clocks to the laggard, and open the next phase
-    /// (or finish the run).
+    /// order, synchronize clocks to the laggard, and open the next phase.
     fn barrier(&mut self) {
         for lane in &mut self.lanes {
             self.stats.merge(&lane.delta);
             lane.delta = TraceStats::default();
-        }
-        let max_clock = self
-            .lanes
-            .iter()
-            .map(|l| l.st.clock_ms)
-            .fold(0.0_f64, f64::max);
-        for lane in &mut self.lanes {
-            lane.st.clock_ms = max_clock;
+            lane.st.clock_ms = self.max_clock;
         }
         self.phase += 1;
-        if self.phase < self.order.num_phases() {
-            self.start_phase();
-        } else {
-            self.run_finished = true;
-            if let Some(mut sp) = self.span.take() {
-                sp.add("requests", self.stats.requests);
-                sp.add("cache_hits", self.stats.cache_hits);
-                sp.add("element_accesses", self.stats.element_accesses);
-            }
-        }
+        self.open_phase();
     }
 }
 
 impl RequestStream for GenStream<'_> {
     fn next_request(&mut self) -> Option<IoRequest> {
         loop {
-            // Candidate: the minimal (arrival, proc) head that cannot be
-            // preceded by its own lane's future emissions...
-            let mut best: Option<(u64, usize)> = None;
-            for (i, lane) in self.lanes.iter().enumerate() {
-                if let Some(hb) = lane.head_bits() {
-                    if hb <= lane.watermark_bits(self.run_finished)
-                        && best.is_none_or(|b| (hb, i) < b)
-                    {
-                        best = Some((hb, i));
-                    }
-                }
+            let m = self.least(|_| true)?;
+            if let Some(r) = self.lanes[m].st.requests.pop_front() {
+                return Some(r);
             }
-            // ...and safe against every other lane's bound min(head, W):
-            // if the minimal candidate fails that check, every larger one
-            // does too, so drive the generator instead of scanning on.
-            if let Some((hb, i)) = best {
-                let safe = self.lanes.iter().enumerate().all(|(q, lane)| {
-                    if q == i {
-                        return true;
-                    }
-                    let lb = lane
-                        .watermark_bits(self.run_finished)
-                        .min(lane.head_bits().unwrap_or(u64::MAX));
-                    (hb, i) < (lb, q)
-                });
-                if safe {
-                    let Reverse(b) = self.lanes[i].heap.pop().expect("head just peeked");
-                    return Some(b.req);
-                }
-            }
-            if self.run_finished {
-                // Nothing buffered anywhere (all heads are releasable once
-                // watermarks are infinite, so best=None means empty heaps).
-                debug_assert!(self.lanes.iter().all(|l| l.heap.is_empty()));
+            if self.phase >= self.num_phases {
+                // Every bound is infinite, so the least lane holding
+                // nothing means every lane holds nothing.
                 return None;
             }
-            // Make progress on the lane holding the merge back: the
-            // unfinished lane with the lowest future-emission bound.
-            let next = self
-                .lanes
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.cursor.is_some())
-                .min_by_key(|(q, l)| {
-                    (
-                        l.watermark_bits(false)
-                            .min(l.head_bits().unwrap_or(u64::MAX)),
-                        *q,
-                    )
-                })
-                .map(|(q, _)| q);
+            // Lane m holds the merge back with nothing buffered: run it
+            // ahead, or, once it has finished the phase, the least lane
+            // still running; when none is, the phase is over.
+            let next = if self.lanes[m].cursor.is_some() {
+                Some(m)
+            } else {
+                self.least(|l| l.cursor.is_some())
+            };
             match next {
                 Some(q) => self.drive(q),
                 None => self.barrier(),
@@ -502,58 +231,91 @@ impl RequestStream for GenStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OriginalOrder, SetOrder, TraceGenOptions};
+    use crate::order::tests::VecOrder;
+    use crate::{contention_factor, OriginalOrder, SetOrder, TraceGenOptions};
+    use dpm_ir::Program;
     use dpm_layout::{LayoutMap, Striping};
+    use dpm_obs::XorShift64Star;
 
     fn program(src: &str) -> Program {
         dpm_ir::parse_program(src).unwrap()
     }
 
-    #[test]
-    fn nest_cursor_matches_walk_nest() {
-        let p = program(
-            "program t; array A[8][4] : f64;
-             nest L { for i = 0 .. 7 { for j = 0 .. i { A[i][j] = 1; } } }",
-        );
-        let mut expect = Vec::new();
-        crate::walk_nest(&p.nests[0], &mut |pt| expect.push(pt.to_vec()));
-        let mut cur = NestCursor::new(&p.nests[0]);
-        let mut got = Vec::new();
-        while let Some(pt) = cur.next_point() {
-            got.push(pt.to_vec());
+    /// The definition of the trace order: every lane of each phase run to
+    /// completion, barriers between phases, then a stable sort by arrival
+    /// over the requests concatenated in processor order.
+    fn reference(
+        generator: &TraceGenerator<'_>,
+        order: &dyn ExecutionOrder,
+    ) -> (Vec<IoRequest>, TraceStats) {
+        let num_disks = generator.layout.striping().num_disks();
+        let mut states: Vec<ProcState> = (0..order.num_procs())
+            .map(|_| ProcState::new(&generator.options, num_disks))
+            .collect();
+        let mut stats = TraceStats::default();
+        let mut point = Vec::new();
+        for phase in 0..order.num_phases() {
+            let masks = generator.phase_disk_masks(order, phase);
+            for (proc, st) in states.iter_mut().enumerate() {
+                let contention = contention_factor(&masks, proc);
+                let mut delta = TraceStats::default();
+                let mut cursor = order.cursor(phase, proc as u32);
+                while let Some(nest) = cursor.next(&mut point) {
+                    generator.execute_iteration(
+                        nest,
+                        &point,
+                        proc as u32,
+                        contention,
+                        st,
+                        &mut delta,
+                    );
+                }
+                generator.flush_all(proc as u32, contention, st, &mut delta);
+                stats.merge(&delta);
+            }
+            let clock = states.iter().map(|s| s.clock_ms).fold(0.0_f64, f64::max);
+            for st in &mut states {
+                st.clock_ms = clock;
+            }
         }
-        assert_eq!(got, expect);
-        assert!(cur.next_point().is_none());
+        let mut all: Vec<IoRequest> = states.into_iter().flat_map(|s| s.requests).collect();
+        all.sort_by(|a, b| a.arrival_ms.total_cmp(&b.arrival_ms));
+        (all, stats)
     }
 
-    fn drain(stream: &mut GenStream<'_>) -> Vec<IoRequest> {
-        let mut v = Vec::new();
-        while let Some(r) = stream.next_request() {
-            v.push(r);
+    /// Streams `order` and asserts it equals the reference request for
+    /// request with identical stats, and that `generate` collects the same
+    /// sequence. `Debug` renders floats injectively (shortest round-trip,
+    /// sign included), so equal renderings mean equal bit patterns.
+    fn assert_matches_reference(generator: &TraceGenerator<'_>, order: &dyn ExecutionOrder) {
+        let (want, want_stats) = reference(generator, order);
+        let mut stream = generator.stream(order);
+        let got: Vec<IoRequest> = std::iter::from_fn(|| stream.next_request()).collect();
+        assert!(stream.is_finished());
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(format!("{g:?}"), format!("{w:?}"), "request {i}");
         }
-        v
+        let want_stats = format!("{want_stats:?}");
+        assert_eq!(format!("{:?}", stream.stats()), want_stats);
+        let (trace, stats) = generator.generate(order);
+        assert_eq!(trace.requests(), &got[..]);
+        assert_eq!(format!("{stats:?}"), want_stats);
     }
 
     #[test]
-    fn streamed_original_order_matches_batch() {
+    fn original_order_matches_reference() {
         let p = program(
             "program t; array A[256][128] : f64;
              nest L { for i = 0 .. 255 { for j = 0 .. 127 { A[i][j] = A[i][j] + 1 @ 750; } } }",
         );
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let generator = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let order = OriginalOrder::new(&p);
-        let (trace, stats) = generator.generate(&order);
-        let mut stream = generator.stream(&order);
-        let streamed = drain(&mut stream);
-        assert_eq!(streamed, trace.requests());
-        assert_eq!(stream.stats(), stats);
-        assert!(stream.is_finished());
-        assert!(stream.next_request().is_none());
+        assert_matches_reference(&generator, &OriginalOrder::new(&p));
     }
 
     #[test]
-    fn streamed_set_order_matches_batch() {
+    fn set_order_matches_reference() {
         let p = program(
             "program t; array A[64][8] : f64;
              nest L { for i = 0 .. 63 { for j = 0 .. 7 { A[i][j] = A[i][j] + 1; } } }",
@@ -565,30 +327,83 @@ mod tests {
         let mut order = SetOrder::new(0);
         order.push(0, dpm_poly::Set::from(space));
         let generator = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (trace, stats) = generator.generate(&order);
-        let mut stream = generator.stream(&order);
-        assert_eq!(drain(&mut stream), trace.requests());
-        assert_eq!(stream.stats(), stats);
+        assert_matches_reference(&generator, &order);
     }
 
+    /// A program with two nests plus a depth-0 nest (one iteration, no
+    /// loops) appended by hand, since the parser requires a loop.
+    fn random_program(rng: &mut XorShift64Star) -> Program {
+        let cost = [0, 1, 750][rng.range_i64(0, 2) as usize];
+        let mut p = program(&format!(
+            "program t; array A[64][16] : f64; array B[256] : f64;
+             nest L1 {{ for i = 0 .. 63 {{ for j = 0 .. 15 {{ A[i][j] = A[i][j] + B[4*i] @ {cost}; }} }} }}
+             nest L2 {{ for i = 0 .. 15 {{ for k = 0 .. 63 {{ B[4*i] = A[k][i] @ {cost}; }} }} }}"
+        ));
+        let mut z = p.nests[0].clone();
+        z.name = "Z".into();
+        z.loops.clear();
+        for stmt in &mut z.body {
+            for r in &mut stmt.refs {
+                for e in &mut r.indices {
+                    *e = dpm_poly::LinExpr::constant(0, rng.range_i64(0, 15));
+                }
+            }
+        }
+        p.add_nest(z);
+        p
+    }
+
+    /// Deals every iteration of `p` (several times over, in program order)
+    /// to random lanes; some lanes, phases and whole orders stay empty.
+    fn random_order(rng: &mut XorShift64Star, p: &Program) -> VecOrder {
+        let procs = rng.range_i64(1, 4) as u32;
+        let phases = rng.range_i64(0, 3) as usize;
+        let mut order = VecOrder::new(procs, phases);
+        if phases == 0 {
+            return order;
+        }
+        let idle_phase = rng.range_i64(0, phases as i64 - 1) as usize;
+        let idle_proc = rng.range_i64(0, i64::from(procs) - 1) as usize;
+        let empty_middle_phase = phases == 3 && rng.range_i64(0, 1) == 1;
+        for _ in 0..rng.range_i64(1, 2) {
+            for (ni, nest) in p.nests.iter().enumerate() {
+                crate::walk_nest(nest, &mut |pt| {
+                    let phase = rng.range_i64(0, phases as i64 - 1) as usize;
+                    let proc = rng.range_i64(0, i64::from(procs) - 1) as usize;
+                    let idle = (phase == idle_phase && proc == idle_proc)
+                        || (empty_middle_phase && phase == 1);
+                    if !idle && rng.range_i64(0, 9) > 0 {
+                        order.lanes[phase][proc].push((ni, pt.to_vec()));
+                    }
+                });
+            }
+        }
+        order
+    }
+
+    /// Seeded random multi-processor, multi-phase orders, including empty
+    /// lanes, empty phases, zero phases, a depth-0 nest and zero-cost
+    /// statements (arrival ties across lanes): the stream must equal the
+    /// reference request for request and stats bit for bit.
     #[test]
-    fn streamed_matches_batch_with_jitter() {
-        // Jitter makes per-processor emissions non-monotone; the watermark
-        // buffer must still reproduce the batch path's stable sort.
-        let p = program(
-            "program t; array A[256][128] : f64;
-             nest L { for i = 0 .. 255 { for j = 0 .. 127 { A[i][j] = A[i][j] + 1 @ 750; } } }",
-        );
-        let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
-        let opts = TraceGenOptions {
-            arrival_jitter_ms: 2.0,
-            ..TraceGenOptions::default()
-        };
-        let generator = TraceGenerator::new(&p, &layout, opts);
-        let order = OriginalOrder::new(&p);
-        let (trace, stats) = generator.generate(&order);
-        let mut stream = generator.stream(&order);
-        assert_eq!(drain(&mut stream), trace.requests());
-        assert_eq!(stream.stats(), stats);
+    fn random_orders_match_reference() {
+        let mut rng = XorShift64Star::new(0x0bde_2006);
+        for _ in 0..60 {
+            let p = random_program(&mut rng);
+            let order = random_order(&mut rng, &p);
+            let opts = TraceGenOptions {
+                block_bytes: [512, 4096][rng.range_i64(0, 1) as usize],
+                max_request_bytes: [8192, 1024 * 1024][rng.range_i64(0, 1) as usize],
+                reuse_window_blocks: rng.range_i64(0, 16) as usize,
+                streams: rng.range_i64(1, 8) as usize,
+                block_on_io: rng.range_i64(0, 1) == 1,
+                ..TraceGenOptions::default()
+            };
+            let stripe = [512, 2048][rng.range_i64(0, 1) as usize];
+            let disks = rng.range_i64(1, 6) as usize;
+            let layout = LayoutMap::new(&p, Striping::new(stripe, disks, 0));
+            let generator = TraceGenerator::new(&p, &layout, opts);
+            assert_matches_reference(&generator, &order);
+        }
     }
 }

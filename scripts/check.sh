@@ -40,6 +40,13 @@ run cargo clippy --offline --workspace --lib -- \
     -D clippy::undocumented_unsafe_blocks \
     -D clippy::unwrap_used
 
+# Benchmark self-tests: Tiny runs of the repo benchmark (e2ebench/) check
+# every pinned paper-matrix and compile-verify output against
+# e2ebench/expected/ and cross-check the policy-sweep streamed replays
+# against the paper-matrix results, so a generator or simulator change
+# that moves one bit fails here, not only in the benchmark pipeline.
+run cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 # Static legality gate: lint every app, symbolically verify the disk-major
 # plan, and exactly verify all four scheduler outputs per app. Exits
 # non-zero on any Error-severity diagnostic, so an illegal schedule or a

@@ -30,6 +30,10 @@ struct Options {
     symbolic: bool,
 }
 
+/// Widest array the restructuring transforms handle: their disk
+/// footprints are 64-bit masks.
+const MAX_RESTRUCTURE_DISKS: usize = 64;
+
 fn usage() -> &'static str {
     "dpmc — compiler-guided disk power management (CGO'06 reproduction)
 
@@ -105,6 +109,34 @@ fn parse_args() -> Result<Options, String> {
             "--symbolic" => o.symbolic = true,
             other => return Err(format!("unknown option `{other}`\n\n{}", usage())),
         }
+    }
+    if o.procs == 0 {
+        return Err("--procs: must be at least 1".into());
+    }
+    if o.stripe_unit == 0 {
+        return Err("--stripe: must be at least 1 byte".into());
+    }
+    if o.disks == 0 {
+        return Err("--disks: must be at least 1".into());
+    }
+    if o.start_disk >= o.disks {
+        return Err(format!(
+            "--start: must be below --disks ({}), got {}",
+            o.disks, o.start_disk
+        ));
+    }
+    let applies_transform = match o.command.as_str() {
+        "emit" => !o.symbolic,
+        "trace" => true,
+        "simulate" => !o.input.ends_with(".trace"),
+        _ => false,
+    };
+    if applies_transform && o.transform != "original" && o.disks > MAX_RESTRUCTURE_DISKS {
+        return Err(format!(
+            "--disks: transform `{}` supports at most {MAX_RESTRUCTURE_DISKS} disks, got {} \
+             (use --transform original for wider arrays)",
+            o.transform, o.disks
+        ));
     }
     Ok(o)
 }
