@@ -11,18 +11,17 @@
 //! 7. relaxed array↔file mappings — §2's unevaluated one-to-many and
 //!    many-to-one options, with the compiler re-deriving the disk map.
 //!
-//! The bin runs fully streamed: layout sweeps (1–2) go through
-//! [`run_matrix_streamed`] with a per-point [`ExperimentConfig`], and the
+//! No trace is ever materialized in memory: layout sweeps (1–2) go through
+//! [`run_matrix`] with a per-point [`ExperimentConfig`], and the
 //! policy/RAID/fusion/mapping sweeps (3–7) spill each distinct
 //! (program, layout, transform) trace once through the `DPMTRC01` codec
-//! ([`SpilledTrace`]) and replay it per sweep point — one generation
-//! amortized across every policy variant, and no trace ever materialized
-//! in memory.
+//! ([`SpilledTrace`]) and replay it per sweep point from the pool's
+//! workers — one generation amortized across every policy variant.
 //!
 //! Usage: `ablations [scale] [app]` (default small AST).
 
 use dpm_apps::Scale;
-use dpm_bench::{run_matrix_streamed, ExperimentConfig, MatrixCell, SpilledTrace, Version};
+use dpm_bench::{run_matrix, ExperimentConfig, MatrixCell, SpilledTrace, Version};
 use dpm_core::{apply_transform, fuse_program, Transform};
 use dpm_disksim::{
     DiskParams, DrpmConfig, PowerPolicy, RaidConfig, SimReport, Simulator, TpmConfig,
@@ -63,10 +62,10 @@ fn saving(base: &SimReport, v: &SimReport) -> String {
     )
 }
 
-/// Runs `Base` and `T-TPM-s` through the streaming matrix pipeline under
-/// a layout-specific config and returns `(base, t_tpm_s)` reports. The
+/// Runs `Base` and `T-TPM-s` through the experiment matrix under a
+/// layout-specific config and returns `(base, t_tpm_s)` reports. The
 /// `ClusteredS`-at-1-proc schedule is exactly `Transform::DiskReuse`, so
-/// this matches the direct simulation the bin used before streaming.
+/// this matches a direct simulation of the disk-reuse schedule.
 fn layout_point(app: &dpm_apps::BenchApp, striping: Striping) -> (SimReport, SimReport) {
     let config = ExperimentConfig {
         striping,
@@ -81,7 +80,7 @@ fn layout_point(app: &dpm_apps::BenchApp, striping: Striping) -> (SimReport, Sim
         versions: vec![Version::Base, Version::TTpmS],
         procs: 1,
     }];
-    let mut res = run_matrix_streamed(cells, &config);
+    let mut res = run_matrix(cells, &config);
     let mut results = res.remove(0).results;
     let t = results.remove(1).report;
     let base = results.remove(0).report;
@@ -106,7 +105,7 @@ fn main() {
     // persistent `DPM_THREADS` pool and prints its rows in the original
     // parameter order.
 
-    // 1. Stripe-unit sweep (per-point layout → per-point streamed matrix).
+    // 1. Stripe-unit sweep (per-point layout → per-point matrix).
     println!("1) stripe-unit sweep (T-TPM-s saving vs same-layout Base):");
     let sus = [8u64 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10];
     for (su, row) in dpm_exec::par_map_indexed(&sus, |_, &su| {

@@ -11,10 +11,10 @@
 //! machine-readable JSON file.
 //!
 //! Usage: `chaos_bench [scale] [out-path]` (scale: tiny | small | large |
-//! paper | full; default tiny, output default `BENCH_chaos.json`; `full`
-//! runs both legs through the streaming pipeline, so the serial/parallel
-//! byte-compare also covers fault determinism on streamed requests). The fault
-//! seed is fixed so every run of this binary reproduces the same faults.
+//! paper; `full` is read as paper; default tiny, output default
+//! `BENCH_chaos.json`). Every scale streams its traces, so paper geometry
+//! runs in flat memory too. The fault seed is fixed so every run of this
+//! binary reproduces the same faults.
 //! Output is one unified [`BenchRecord`] document: per-rate wall times as
 //! trended metrics, the full sweep table as context.
 
@@ -105,17 +105,10 @@ fn check_invariants(all: &[AppResults], config: &ExperimentConfig, rate: f64) ->
 fn main() {
     dpm_obs::init_from_env();
     let scale = match std::env::args().nth(1).as_deref() {
-        Some("full") => Scale::Full,
-        Some("paper") => Scale::Paper,
+        Some("paper" | "full") => Scale::Paper,
         Some("large") => Scale::Large,
         Some("small") => Scale::Small,
         _ => Scale::Tiny,
-    };
-    // At `full` scale the traces are too large to materialize; stream them.
-    let run = if scale == Scale::Full {
-        dpm_bench::run_matrix_streamed
-    } else {
-        run_matrix
     };
     let out_path = std::env::args()
         .nth(2)
@@ -146,10 +139,10 @@ fn main() {
             };
 
             let t = Instant::now();
-            let serial = dpm_exec::serial_scope(|| run(cells(scale), &config));
+            let serial = dpm_exec::serial_scope(|| run_matrix(cells(scale), &config));
             let serial_ms = t.elapsed().as_secs_f64() * 1e3;
             let t = Instant::now();
-            let parallel = run(cells(scale), &config);
+            let parallel = run_matrix(cells(scale), &config);
             let parallel_ms = t.elapsed().as_secs_f64() * 1e3;
 
             if canonical(&serial) != canonical(&parallel) {

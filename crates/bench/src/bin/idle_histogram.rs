@@ -12,16 +12,15 @@
 //! counts can differ slightly from the simulator's arrival-gap histogram
 //! near bucket edges.
 //!
-//! Traces flow through the streaming pipeline ([`run_app_streamed`]):
-//! each schedule shape spills once through the binary codec and replays
-//! per version, so no trace is ever materialized — and the output is
-//! byte-identical to the old materialized path, because the two
-//! pipelines produce bit-identical reports and events.
+//! Traces flow through the experiment pipeline ([`run_app`]): each
+//! schedule shape's trace is generated once and streamed into every
+//! version's simulator, so no trace is ever materialized. Each version's
+//! events carry its own run id, so interleaved runs rebuild separately.
 //!
 //! Usage: `idle_histogram [scale] [app]`.
 
 use dpm_apps::Scale;
-use dpm_bench::{run_app_streamed, ExperimentConfig, Version};
+use dpm_bench::{run_app, ExperimentConfig, Version};
 use dpm_disksim::{timelines_from_events, Span, SpanState};
 use dpm_obs::Histogram;
 
@@ -72,7 +71,7 @@ fn main() {
             } else {
                 vec![Version::Base, Version::TTpmS, Version::TTpmM]
             };
-            let res = run_app_streamed(app, &versions, procs, &config);
+            let res = run_app(app, &versions, procs, &config);
             let events = collector.snapshot();
             println!(
                 "\n{} ({} proc): idle-period histogram per version (ms buckets)",

@@ -5,8 +5,8 @@
 //! baseline parallelization, and 4-processor layout-aware
 //! parallelization — the oracle ([`dpm_analyze::predict_energy`])
 //! derives closed-form energy bounds *before* a single request is
-//! simulated, and the spilled trace is then replayed under the
-//! no-power-management, reactive-TPM, and directive-driven policies.
+//! simulated, and the trace is then streamed once into simulators under
+//! the no-power-management, reactive-TPM, and directive-driven policies.
 //! The bench gates on the claims the oracle makes:
 //!
 //! * `bounds_contain_energy` — every simulated energy (cell × policy)
@@ -28,7 +28,7 @@
 
 use disk_reuse::optimizer::insert_power_hints;
 use dpm_apps::Scale;
-use dpm_bench::{mean, BenchRecord, GateStatus, SpilledTrace};
+use dpm_bench::{mean, simulate_shared, BenchRecord, GateStatus};
 use dpm_core::Schedule;
 use dpm_disksim::{DirectiveConfig, DiskParams, PowerPolicy, RaidConfig, Simulator, TpmConfig};
 use dpm_obs::Json;
@@ -84,7 +84,6 @@ fn run_cell(
     let striping = *layout.striping();
     let raid = RaidConfig::single();
     let gen = TraceGenerator::new(program, layout, *options);
-    let spilled = SpilledTrace::spill(&gen, schedule);
 
     let policies: Vec<(&str, PowerPolicy)> = vec![
         ("none", PowerPolicy::None),
@@ -107,11 +106,14 @@ fn run_cell(
         hint_error: None,
         hint_count: 0,
     };
-    for (label, policy) in policies {
+    let sims: Vec<Simulator> = policies
+        .iter()
+        .map(|&(_, policy)| Simulator::new(*params, policy, striping).with_raid(raid))
+        .collect();
+    let reports = simulate_shared(&mut gen.stream(schedule), &sims);
+    for ((label, policy), report) in policies.into_iter().zip(reports) {
         let predicted =
             dpm_analyze::predict_energy(program, layout, schedule, options, params, &policy, &raid);
-        let sim = Simulator::new(*params, policy, striping).with_raid(raid);
-        let report = spilled.replay(&sim);
         let e = report.total_energy_j();
         if !predicted.contains(e) {
             cell.violations.push(format!(

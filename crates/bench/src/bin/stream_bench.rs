@@ -13,6 +13,11 @@
 //! any O(requests) buffer re-introduced anywhere in the pipeline trips it
 //! immediately, because it scales 16× between the probes.
 //!
+//! A second probe gates the experiment pipeline itself: the same AST
+//! trace streamed once into three power policies' simulators through
+//! [`dpm_bench::simulate_shared`] (the path every experiment bin takes),
+//! with the same `FLAT_FACTOR` bound on its Small/Tiny peak-heap ratio.
+//!
 //! Also recorded: streamed simulation throughput (`_x`, regresses
 //! downward) and codec density in bytes per request (regresses upward),
 //! both trended against `scripts/BENCH_stream_baseline.json` by
@@ -21,8 +26,8 @@
 //! Usage: `stream_bench [out-path]` (default `BENCH_stream.json`).
 
 use dpm_apps::Scale;
-use dpm_bench::{BenchRecord, ExperimentConfig, GateStatus};
-use dpm_disksim::{PowerPolicy, Simulator};
+use dpm_bench::{simulate_shared, BenchRecord, ExperimentConfig, GateStatus};
+use dpm_disksim::{DrpmConfig, PowerPolicy, Simulator, TpmConfig};
 use dpm_layout::LayoutMap;
 use dpm_obs::Json;
 use dpm_trace::{OriginalOrder, TraceGenerator, TraceReader, TraceWriter};
@@ -72,11 +77,14 @@ struct Probe {
     codec_bytes: u64,
     peak_bytes: u64,
     replay_secs: f64,
+    fanout_peak_bytes: u64,
 }
 
 /// One end-to-end pipeline run: stream-generate the AST Plain trace, spill
 /// it through the codec to a temp file, replay it into the simulator.
-/// Returns the peak live heap over the whole pipeline.
+/// Records the peak live heap over that whole pipeline, then the peak of
+/// a second pass that streams the same trace once into the Base, TPM and
+/// DRPM simulators.
 fn probe(scale: Scale) -> Probe {
     let config = ExperimentConfig::default();
     let app = dpm_apps::by_name("AST", scale).unwrap();
@@ -105,11 +113,25 @@ fn probe(scale: Scale) -> Probe {
     let _ = std::fs::remove_file(&path);
     assert_eq!(report.app_requests, requests, "replay lost requests");
 
+    reset_peak();
+    let sims = [
+        PowerPolicy::None,
+        PowerPolicy::Tpm(TpmConfig::default()),
+        PowerPolicy::Drpm(DrpmConfig::default()),
+    ]
+    .map(|policy| Simulator::new(config.disk, policy, config.striping));
+    let reports = simulate_shared(&mut gen.stream(&order), &sims);
+    let fanout_peak_bytes = PEAK.load(Ordering::Relaxed) as u64;
+    for report in &reports {
+        assert_eq!(report.app_requests, requests, "fan-out lost requests");
+    }
+
     Probe {
         requests,
         codec_bytes,
         peak_bytes,
         replay_secs,
+        fanout_peak_bytes,
     }
 }
 
@@ -127,6 +149,8 @@ fn main() {
     let growth = small.requests as f64 / tiny.requests.max(1) as f64;
     let throughput = small.requests as f64 / small.replay_secs.max(1e-9);
     let density = small.codec_bytes as f64 / small.requests.max(1) as f64;
+    let (fan_tiny, fan_small) = (tiny.fanout_peak_bytes, small.fanout_peak_bytes);
+    let fan_ratio = fan_small as f64 / fan_tiny.max(1) as f64;
     println!(
         "  tiny : {:>9} requests, peak heap {:>12} B, codec {:>10} B",
         tiny.requests, tiny.peak_bytes, tiny.codec_bytes
@@ -139,6 +163,10 @@ fn main() {
         "  requests x{growth:.1}, peak heap x{ratio:.3} (gate <= {FLAT_FACTOR}), \
          replay {throughput:.0} req/s, codec {density:.1} B/req"
     );
+    println!(
+        "  fan-out to 3 policies: peak heap tiny {fan_tiny} B, small {fan_small} B, \
+         x{fan_ratio:.3} (gate <= {FLAT_FACTOR})"
+    );
 
     let mut record = BenchRecord::new("stream_bench", "Tiny->Small", threads);
     record.metric("stream_requests_small", small.requests as f64);
@@ -146,6 +174,8 @@ fn main() {
     record.metric("stream_peak_heap_small_bytes", small.peak_bytes as f64);
     record.metric("stream_requests_per_sec_x", throughput);
     record.metric("codec_bytes_per_request", density);
+    record.metric("fanout_peak_heap_tiny_bytes", fan_tiny as f64);
+    record.metric("fanout_peak_heap_small_bytes", fan_small as f64);
     record.context(
         "probe",
         Json::obj(vec![
@@ -156,32 +186,41 @@ fn main() {
         ]),
     );
 
-    let flat = ratio <= FLAT_FACTOR;
-    record.gate(
-        "stream_flat_memory",
-        if flat {
+    let status = |ok: bool| {
+        if ok {
             GateStatus::Pass
         } else {
             GateStatus::Fail
-        },
+        }
+    };
+    let flat = ratio <= FLAT_FACTOR;
+    record.gate(
+        "stream_flat_memory",
+        status(flat),
         format!(
             "peak heap small/tiny = {ratio:.3} (limit {FLAT_FACTOR}) while requests grew \
              {growth:.1}x — pipeline memory must be O(disks + window), not O(requests)"
         ),
     );
+    let fan_flat = fan_ratio <= FLAT_FACTOR;
+    record.gate(
+        "fanout_flat_memory",
+        status(fan_flat),
+        format!(
+            "fan-out peak heap small/tiny = {fan_ratio:.3} (limit {FLAT_FACTOR}) while \
+             requests grew {growth:.1}x — one pass into 3 simulators must stay \
+             O(chunk + disks x simulators)"
+        ),
+    );
     let compact = density <= 16.0;
     record.gate(
         "codec_compact",
-        if compact {
-            GateStatus::Pass
-        } else {
-            GateStatus::Fail
-        },
+        status(compact),
         format!("codec density {density:.1} B/request (limit 16.0)"),
     );
     record.write(&out_path).expect("write BENCH_stream.json");
     println!("wrote {out_path}");
-    if !flat || !compact {
+    if !flat || !fan_flat || !compact {
         eprintln!("stream_bench: FAIL — see gates above");
         std::process::exit(1);
     }

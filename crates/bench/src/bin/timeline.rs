@@ -6,13 +6,16 @@
 //! The timelines are not recorded by the simulator: they are rebuilt from
 //! the `disk_state` events of the instrumentation stream
 //! ([`dpm_disksim::timelines_from_events`]), exercising the same path an
-//! external consumer of the JSONL output would use. Each simulation's
-//! events are selected by the `obs_run` id stamped on its report.
+//! external consumer of the JSONL output would use. Rows that share a
+//! transform are fed from one pass over its trace
+//! ([`dpm_bench::simulate_shared`]), so their events interleave in the
+//! stream; each simulation's events are selected by the `obs_run` id
+//! stamped on its report.
 //!
 //! Usage: `timeline [scale] [app]` (default small AST).
 
 use dpm_apps::Scale;
-use dpm_bench::{ExperimentConfig, SpilledTrace};
+use dpm_bench::{simulate_shared, ExperimentConfig};
 use dpm_core::{apply_transform, Schedule, Transform};
 use dpm_disksim::{
     ascii_timelines, timelines_from_events, DrpmConfig, PowerPolicy, Simulator, TpmConfig,
@@ -58,18 +61,21 @@ fn main() {
             PowerPolicy::Drpm(DrpmConfig::proactive()),
         ),
     ];
-    // Spill each transform's trace once through the binary codec and
-    // replay it per policy: the two Original-code rows share one spill,
-    // and no trace is ever materialized in memory.
-    let mut spills: Vec<(Transform, SpilledTrace)> = Vec::new();
-    for (label, transform, policy) in runs {
-        if !spills.iter().any(|(t, _)| *t == transform) {
-            let schedule: Schedule = apply_transform(&program, &layout, &deps, transform);
-            spills.push((transform, SpilledTrace::spill(&gen, &schedule)));
-        }
-        let (_, spill) = spills.iter().find(|(t, _)| *t == transform).unwrap();
-        let sim = Simulator::new(config.disk, policy, config.striping);
-        let report = spill.replay(&sim);
+    // Stream each transform's trace once into the simulators of all its
+    // rows: the two Original-code rows share one pass, and no trace is
+    // ever materialized in memory. `runs` lists the Original rows first,
+    // so the flattened reports line up with it.
+    let reports = [Transform::Original, Transform::DiskReuse].map(|transform| {
+        let schedule: Schedule = apply_transform(&program, &layout, &deps, transform);
+        let sims: Vec<Simulator> = runs
+            .iter()
+            .filter(|run| run.1 == transform)
+            .map(|run| Simulator::new(config.disk, run.2, config.striping))
+            .collect();
+        let mut stream = gen.stream(&schedule);
+        simulate_shared(&mut stream, &sims)
+    });
+    for ((label, _, _), report) in runs.into_iter().zip(reports.into_iter().flatten()) {
         println!(
             "\n{label} — {:.0} J over {:.0} s (rebuilt from run {} of the event stream)",
             report.total_energy_j(),

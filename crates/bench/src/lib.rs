@@ -33,11 +33,13 @@ pub use tier::{
 
 use dpm_apps::BenchApp;
 use dpm_core::{apply_transform, Assignment, Schedule, Transform};
-use dpm_disksim::{DiskParams, DrpmConfig, PowerPolicy, SimReport, Simulator, TpmConfig, Trace};
+use dpm_disksim::{
+    DiskParams, DrpmConfig, PowerPolicy, RequestStream, SimReport, Simulator, TpmConfig,
+};
 use dpm_faults::FaultPlan;
 use dpm_ir::Program;
 use dpm_layout::{LayoutMap, Striping};
-use dpm_trace::{TraceGenOptions, TraceGenerator, TraceStats};
+use dpm_trace::{GenStream, TraceGenOptions, TraceGenerator, TraceStats};
 
 /// The seven code versions of §7.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -273,18 +275,6 @@ pub fn run_matrix(cells: Vec<MatrixCell>, config: &ExperimentConfig) -> Vec<AppR
     dpm_exec::par_map_vec(cells, |_, c| run_app(&c.app, &c.versions, c.procs, config))
 }
 
-/// The streaming counterpart of [`run_matrix`]: every cell runs through
-/// [`run_app_streamed`], so no trace is ever materialized in memory.
-/// Results are bit-identical to [`run_matrix`] on the same cells.
-pub fn run_matrix_streamed(cells: Vec<MatrixCell>, config: &ExperimentConfig) -> Vec<AppResults> {
-    let mut sp = dpm_obs::span!("experiment_matrix_streamed");
-    sp.add("cells", cells.len() as u64);
-    let _prof = dpm_prof::scope("run_matrix_streamed");
-    dpm_exec::par_map_vec(cells, |_, c| {
-        run_app_streamed(&c.app, &c.versions, c.procs, config)
-    })
-}
-
 /// Builds the schedule for a shape at a processor count.
 pub fn build_schedule(
     program: &Program,
@@ -316,8 +306,12 @@ pub fn build_schedule(
     apply_transform(program, layout, deps, transform)
 }
 
-/// Runs the requested versions of one application, reusing traces across
-/// versions that share a schedule shape.
+/// Runs the requested versions of one application. Each schedule shape
+/// the versions need is built once and its trace streamed once through
+/// [`simulate_shared`] into the simulators of every version of that shape,
+/// so no trace is materialized or spilled: memory is O(disks × versions +
+/// one request chunk) whatever the trace length. Results come back in the
+/// order of `versions`.
 pub fn run_app(
     app: &BenchApp,
     versions: &[Version],
@@ -330,55 +324,108 @@ pub fn run_app(
     let deps = dpm_ir::analyze(&program);
     let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
 
-    let mut traces: Vec<(ScheduleShape, Trace, TraceStats)> = Vec::new();
-    let mut results = Vec::new();
-    for &v in versions {
-        let shape = v.shape();
-        if !traces.iter().any(|(s, _, _)| *s == shape) {
-            let schedule = build_schedule(&program, &layout, &deps, shape, procs);
-            debug_assert!(schedule.validate_coverage(&program).is_ok());
-            // Debug builds prove every schedule legal before simulating
-            // it: an illegal schedule would produce a plausible-looking
-            // (but meaningless) energy number.
-            #[cfg(debug_assertions)]
-            {
-                let diags = dpm_analyze::verify_schedule(&program, &deps, &schedule);
-                debug_assert_eq!(
-                    dpm_analyze::error_count(&diags),
-                    0,
-                    "illegal {shape:?} schedule for {}: {diags:?}",
-                    app.name
-                );
-            }
-            let (trace, stats) = gen.generate(&schedule);
-            traces.push((shape, trace, stats));
+    let mut results: Vec<Option<VersionResult>> = vec![None; versions.len()];
+    for first in 0..versions.len() {
+        if results[first].is_some() {
+            continue;
         }
-        let (_, trace, stats) = traces
+        let shape = versions[first].shape();
+        let schedule = build_schedule(&program, &layout, &deps, shape, procs);
+        debug_assert!(schedule.validate_coverage(&program).is_ok());
+        // Debug builds prove every schedule legal before simulating it: an
+        // illegal schedule would produce a plausible-looking (but
+        // meaningless) energy number.
+        #[cfg(debug_assertions)]
+        {
+            let diags = dpm_analyze::verify_schedule(&program, &deps, &schedule);
+            debug_assert_eq!(
+                dpm_analyze::error_count(&diags),
+                0,
+                "illegal {shape:?} schedule for {}: {diags:?}",
+                app.name
+            );
+        }
+        let slots: Vec<usize> = (first..versions.len())
+            .filter(|&i| versions[i].shape() == shape)
+            .collect();
+        let sims: Vec<Simulator> = slots
             .iter()
-            .find(|(s, _, _)| *s == shape)
-            .expect("every version shape was generated above");
-        let sim =
-            Simulator::new(config.disk, v.policy(), config.striping).with_faults(config.faults);
-        let report = sim.run(trace);
-        results.push(VersionResult {
-            version: v,
-            report,
-            trace_stats: *stats,
-        });
+            .map(|&i| {
+                Simulator::new(config.disk, versions[i].policy(), config.striping)
+                    .with_faults(config.faults)
+            })
+            .collect();
+        let mut stream = gen.stream(&schedule);
+        let reports = simulate_shared(&mut stream, &sims);
+        let trace_stats = stream.stats();
+        for (i, report) in slots.into_iter().zip(reports) {
+            results[i] = Some(VersionResult {
+                version: versions[i],
+                report,
+                trace_stats,
+            });
+        }
     }
     AppResults {
         app: app.name,
         procs,
-        results,
+        results: results
+            .into_iter()
+            .map(|r| r.expect("every version's shape was simulated above"))
+            .collect(),
     }
+}
+
+/// Requests [`simulate_shared`] pulls from the generator per step: the
+/// only request-shaped memory of a fan-out.
+const SHARED_CHUNK: usize = 4096;
+
+/// Streams one trace once into several simulators: pulls a chunk of 4096
+/// requests from the generator, then feeds the chunk to each simulator's
+/// [`SimRun`](dpm_disksim::SimRun) in turn, until the stream runs dry. Returns one report per simulator, in order, each
+/// bit-identical to [`Simulator::run`] over the materialized trace (every
+/// run sees the same requests in the same order through the same serial
+/// event loop).
+///
+/// Working in chunks rather than single requests keeps each simulator's
+/// state hot in cache for a chunk at a time and lets the profile split
+/// generation (`trace_gen`) from simulation (`simulate` →
+/// `sim_event_loop`) at chunk rather than request granularity. Memory is
+/// O(one chunk + disks × simulators), independent of trace length.
+pub fn simulate_shared(stream: &mut GenStream<'_>, sims: &[Simulator]) -> Vec<SimReport> {
+    let mut runs: Vec<_> = sims.iter().map(Simulator::start).collect();
+    let mut chunk = Vec::with_capacity(SHARED_CHUNK);
+    loop {
+        chunk.clear();
+        {
+            let _prof = dpm_prof::scope("trace_gen");
+            chunk.extend(std::iter::from_fn(|| stream.next_request()).take(SHARED_CHUNK));
+        }
+        for run in &mut runs {
+            let _prof = dpm_prof::scope("simulate");
+            let _event_loop = dpm_prof::scope("sim_event_loop");
+            for r in &chunk {
+                run.feed(r);
+            }
+        }
+        if chunk.len() < SHARED_CHUNK {
+            break;
+        }
+    }
+    let _prof = dpm_prof::scope("simulate");
+    runs.into_iter().map(dpm_disksim::SimRun::finish).collect()
 }
 
 /// A generated trace spilled once through the compact `DPMTRC01` binary
 /// codec to a file in the OS temp directory, then replayed any number of
-/// times without regenerating it — the spill-once/replay-many backbone of
-/// every streamed bin ([`run_app_streamed`] replays one spill per code
-/// version; `ablations` replays one per policy/RAID point). The file is
-/// removed on drop, so a panicking cell cannot leak spill files.
+/// times without regenerating it. It serves the callers that need the
+/// trace as a file rather than one live pass: sweeps that replay one
+/// trace from several pool workers and across sections (`ablations`), the
+/// shared-system
+/// [`merge`](Self::merge), and the codec's own benchmark. A caller that
+/// knows every simulator up front streams the trace once through
+/// [`simulate_shared`] instead. The file is removed on drop, so a
+/// panicking cell cannot leak spill files.
 pub struct SpilledTrace {
     path: std::path::PathBuf,
     stats: TraceStats,
@@ -420,13 +467,11 @@ impl SpilledTrace {
     /// [`Simulator::run_stream`]; bit-identical to simulating the
     /// materialized trace (the codec round-trips every request).
     pub fn replay(&self, sim: &Simulator) -> dpm_disksim::SimReport {
-        let file = std::fs::File::open(&self.path)
-            .unwrap_or_else(|e| panic!("open spill file {}: {e}", self.path.display()));
-        let mut reader = dpm_trace::TraceReader::new(file).expect("read trace spill header");
-        sim.run_stream(&mut reader)
+        sim.run_stream(&mut self.reader())
     }
 
-    /// The streaming counterpart of [`Trace::merged`]: merges several
+    /// The streaming counterpart of
+    /// [`Trace::merged`](dpm_disksim::Trace::merged): merges several
     /// spilled traces into one shared-system spill without materializing
     /// any of them. Part `k`'s arrivals are shifted by `k * stagger_ms`,
     /// its offsets relocated past the previous parts' address ranges, and
@@ -441,7 +486,6 @@ impl SpilledTrace {
     /// Panics if a spill file cannot be reopened or the merged spill
     /// cannot be written.
     pub fn merge(parts: &[&SpilledTrace], stagger_ms: f64) -> SpilledTrace {
-        use dpm_disksim::RequestStream;
         let _prof = dpm_prof::scope("trace_spill_merge");
         // Pass 1: each part's address-range and processor-id extents, which
         // set the *next* part's relocation bases (exactly `Trace::merged`).
@@ -527,69 +571,6 @@ fn spill_path() -> std::path::PathBuf {
     static SPILL_ID: AtomicU64 = AtomicU64::new(0);
     let id = SPILL_ID.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("dpm-spill-{}-{id}.trc", std::process::id()))
-}
-
-/// Runs the requested versions of one application through the streaming
-/// pipeline: each schedule shape's trace is *generated lazily*
-/// ([`TraceGenerator::stream`]), spilled once through the binary codec to a
-/// temp file, and replayed per version with [`Simulator::run_stream`], so
-/// simulation memory is O(disks + request window) regardless of trace
-/// length. The schedule itself is transient — it lives only while its
-/// stream spills, never across a simulation.
-///
-/// Reports and trace statistics are bit-identical to [`run_app`] on the
-/// same inputs: the same [`build_schedule`] order drives both pipelines,
-/// both draw their requests from the one generator stream, and the codec
-/// round-trips every request bit-for-bit (see
-/// `tests/stream_equivalence.rs`).
-pub fn run_app_streamed(
-    app: &BenchApp,
-    versions: &[Version],
-    procs: u32,
-    config: &ExperimentConfig,
-) -> AppResults {
-    let _prof = dpm_prof::scope("run_app_streamed");
-    let program = app.program();
-    let layout = LayoutMap::new(&program, config.striping);
-    let deps = dpm_ir::analyze(&program);
-    let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
-
-    let mut spills: Vec<(ScheduleShape, SpilledTrace)> = Vec::new();
-    let mut results = Vec::new();
-    for &v in versions {
-        let shape = v.shape();
-        if !spills.iter().any(|(s, _)| *s == shape) {
-            let schedule = build_schedule(&program, &layout, &deps, shape, procs);
-            debug_assert!(schedule.validate_coverage(&program).is_ok());
-            #[cfg(debug_assertions)]
-            {
-                let diags = dpm_analyze::verify_schedule(&program, &deps, &schedule);
-                debug_assert_eq!(
-                    dpm_analyze::error_count(&diags),
-                    0,
-                    "illegal {shape:?} schedule for {}: {diags:?}",
-                    app.name
-                );
-            }
-            spills.push((shape, SpilledTrace::spill(&gen, &schedule)));
-        }
-        let (_, spill) = spills
-            .iter()
-            .find(|(s, _)| *s == shape)
-            .expect("every version shape was spilled above");
-        let sim =
-            Simulator::new(config.disk, v.policy(), config.striping).with_faults(config.faults);
-        results.push(VersionResult {
-            version: v,
-            report: spill.replay(&sim),
-            trace_stats: spill.stats(),
-        });
-    }
-    AppResults {
-        app: app.name,
-        procs,
-        results,
-    }
 }
 
 /// Formats a fraction as a signed percentage.

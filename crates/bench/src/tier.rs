@@ -14,11 +14,10 @@
 //!   simulator's windowed hot/cold migration, which must *earn back* its
 //!   migration traffic.
 //!
-//! Every scenario replays the same spilled trace (the spill-once /
-//! replay-many streaming backbone), so trace generation cost is paid once
-//! and the comparison is exact.
+//! Every scenario's simulator is fed from one pass over the same trace
+//! ([`simulate_shared`](crate::simulate_shared)), so trace generation cost
+//! is paid once and the comparison is exact.
 
-use crate::SpilledTrace;
 use dpm_apps::BenchApp;
 use dpm_disksim::{DiskClass, MigrationConfig, PowerPolicy, SimReport, Simulator, TpmConfig};
 use dpm_ir::Program;
@@ -180,9 +179,9 @@ fn placements(
     (compiler, heuristic)
 }
 
-/// Runs the requested scenarios for one application: generates the
-/// disk-reuse restructured trace once (streamed and spilled through the
-/// binary codec), then replays it under each scenario's simulator. All
+/// Runs the requested scenarios for one application: streams the
+/// disk-reuse restructured trace once into every scenario's simulator
+/// ([`simulate_shared`](crate::simulate_shared)). All
 /// scenarios run the default TPM policy, so power management is held
 /// constant while placement varies.
 pub fn run_tier_app(
@@ -208,13 +207,11 @@ pub fn run_tier_app(
         crate::ScheduleShape::ClusteredS,
         1,
     );
-    let spill = SpilledTrace::spill(&gen, &schedule);
-
     let tiers = config.tiers_for(layout.volume_bytes());
     let (compiler, heuristic) = placements(&program, &layout, &tiers);
     let policy = PowerPolicy::Tpm(TpmConfig::default());
 
-    let mut results = Vec::with_capacity(scenarios.len());
+    let mut sims = Vec::with_capacity(scenarios.len());
     for &scenario in scenarios {
         let sim = Simulator::new(perf.params, policy, striping);
         let sim = match scenario {
@@ -233,14 +230,18 @@ pub fn run_tier_app(
                     .with_migration(config.migration)
             }
         };
-        let report = spill.replay(&sim);
-        let energy_j = report.total_energy_j();
-        results.push(TierScenarioResult {
-            scenario,
-            report,
-            energy_j,
-        });
+        sims.push(sim);
     }
+    let reports = crate::simulate_shared(&mut gen.stream(&schedule), &sims);
+    let results = scenarios
+        .iter()
+        .zip(reports)
+        .map(|(&scenario, report)| TierScenarioResult {
+            scenario,
+            energy_j: report.total_energy_j(),
+            report,
+        })
+        .collect();
     TierAppResults {
         app: app.name,
         results,

@@ -1,17 +1,58 @@
-//! Streamed pipeline == materialized pipeline, bit for bit.
+//! The one experiment pipeline == the materialized reference, bit for bit.
 //!
-//! `run_app_streamed` (lazy generation → binary codec spill → per-version
-//! replay through `Simulator::run_stream`) must reproduce `run_app`
-//! (batch generation → `Simulator::run`) exactly: same requests, same
-//! schedules, same simulator reports, same trace statistics — across the
-//! whole Tiny suite, at 1, 2, and 8 threads, and under fault injection.
-//! Floats are compared by bit pattern via the canonical rendering, so a
-//! last-ulp divergence fails the test.
+//! `run_app` (one generator pass per schedule shape, fanned out chunk by
+//! chunk into every version's simulator) must reproduce the reference
+//! below (batch generation → `Simulator::run` per version) exactly: same
+//! requests, same schedules, same simulator reports, same trace
+//! statistics — across the whole Tiny suite, at 1, 2, and 8 threads, and
+//! under fault injection. The spill/replay path (`SpilledTrace`) is held
+//! to the same standard, including the sharded simulator pass. Floats are
+//! compared by bit pattern via the canonical rendering, so a last-ulp
+//! divergence fails the test.
 
-use dpm_apps::Scale;
-use dpm_bench::{run_app, run_app_streamed, AppResults, ExperimentConfig, Version};
+use dpm_apps::{BenchApp, Scale};
+use dpm_bench::{
+    build_schedule, run_app, AppResults, ExperimentConfig, ScheduleShape, SpilledTrace, Version,
+    VersionResult,
+};
+use dpm_disksim::{PowerPolicy, Simulator};
 use dpm_faults::FaultPlan;
+use dpm_layout::LayoutMap;
+use dpm_trace::TraceGenerator;
 use std::fmt::Write as _;
+
+/// The reference pipeline: each version's trace materialized with
+/// `generate`, then simulated with `Simulator::run`.
+fn reference(
+    app: &BenchApp,
+    versions: &[Version],
+    procs: u32,
+    config: &ExperimentConfig,
+) -> AppResults {
+    let program = app.program();
+    let layout = LayoutMap::new(&program, config.striping);
+    let deps = dpm_ir::analyze(&program);
+    let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
+    let results = versions
+        .iter()
+        .map(|&version| {
+            let schedule = build_schedule(&program, &layout, &deps, version.shape(), procs);
+            let (trace, trace_stats) = gen.generate(&schedule);
+            let sim = Simulator::new(config.disk, version.policy(), config.striping)
+                .with_faults(config.faults);
+            VersionResult {
+                version,
+                report: sim.run(&trace),
+                trace_stats,
+            }
+        })
+        .collect();
+    AppResults {
+        app: app.name,
+        procs,
+        results,
+    }
+}
 
 /// Canonical rendering with run ids and wall times excluded; floats are
 /// rendered from their bit patterns (the `chaos_bench` contract).
@@ -43,19 +84,19 @@ fn canonical(res: &AppResults) -> String {
 
 /// Runs one app both ways at a given thread count and asserts identity.
 fn assert_identical(
-    app: &dpm_apps::BenchApp,
+    app: &BenchApp,
     versions: &[Version],
     procs: u32,
     config: &ExperimentConfig,
     threads: usize,
 ) {
     dpm_exec::with_env_threads(threads, || {
-        let batch = run_app(app, versions, procs, config);
-        let streamed = run_app_streamed(app, versions, procs, config);
+        let expected = reference(app, versions, procs, config);
+        let fanned = run_app(app, versions, procs, config);
         assert_eq!(
-            canonical(&batch),
-            canonical(&streamed),
-            "{} @ {procs} procs, {threads} threads: streamed diverged from batch",
+            canonical(&expected),
+            canonical(&fanned),
+            "{} @ {procs} procs, {threads} threads: run_app diverged from the reference",
             app.name
         );
     });
@@ -75,7 +116,7 @@ fn tiny_suite_single_cpu_identical_across_thread_counts() {
 
 /// Multi-processor versions exercise the parallel schedule shapes
 /// (Baseline and LayoutAware assignments) through the streamed generator's
-/// multi-lane merge.
+/// multi-lane merge, and three shapes fanned out in one `run_app`.
 #[test]
 fn tiny_multi_cpu_identical() {
     let config = ExperimentConfig::default();
@@ -85,7 +126,7 @@ fn tiny_multi_cpu_identical() {
 }
 
 /// Fault injection is a function of each disk's own decision sequence, so
-/// a chaos plan must fire identically on streamed and materialized runs.
+/// a chaos plan must fire identically on fanned-out and materialized runs.
 #[test]
 fn fault_plan_runs_identical() {
     let config = ExperimentConfig {
@@ -95,7 +136,7 @@ fn fault_plan_runs_identical() {
     for app in dpm_apps::suite(Scale::Tiny).into_iter().take(3) {
         assert_identical(&app, &Version::single_cpu(), 1, &config, 8);
     }
-    // And a faulty multi-proc run through the sharded streaming path.
+    // And a faulty multi-proc run.
     let app = dpm_apps::by_name("AST", Scale::Tiny).unwrap();
     assert_identical(&app, &Version::multi_cpu(), 4, &config, 8);
 }
@@ -112,25 +153,18 @@ fn streaming_merge_matches_materialized_merge() {
     for name in ["AST", "Cholesky"] {
         let app = dpm_apps::by_name(name, Scale::Tiny).unwrap();
         let program = app.program();
-        let layout = dpm_layout::LayoutMap::new(&program, config.striping);
+        let layout = LayoutMap::new(&program, config.striping);
         let deps = dpm_ir::analyze(&program);
-        let schedule = dpm_bench::build_schedule(
-            &program,
-            &layout,
-            &deps,
-            dpm_bench::ScheduleShape::ClusteredS,
-            1,
-        );
-        let gen = dpm_trace::TraceGenerator::new(&program, &layout, config.trace);
+        let schedule = build_schedule(&program, &layout, &deps, ScheduleShape::ClusteredS, 1);
+        let gen = TraceGenerator::new(&program, &layout, config.trace);
         traces.push(gen.generate(&schedule).0);
-        spills.push(dpm_bench::SpilledTrace::spill(&gen, &schedule));
+        spills.push(SpilledTrace::spill(&gen, &schedule));
     }
-    let sim =
-        dpm_disksim::Simulator::new(config.disk, dpm_disksim::PowerPolicy::None, config.striping);
+    let sim = Simulator::new(config.disk, PowerPolicy::None, config.striping);
     for stagger_ms in [0.0, 40.0] {
         let materialized = dpm_disksim::Trace::merged(&traces, stagger_ms);
         let mut direct = sim.run(&materialized);
-        let merged = dpm_bench::SpilledTrace::merge(&[&spills[0], &spills[1]], stagger_ms);
+        let merged = SpilledTrace::merge(&[&spills[0], &spills[1]], stagger_ms);
         let mut replayed = merged.replay(&sim);
         direct.obs_run = 0;
         replayed.obs_run = 0;
@@ -153,22 +187,23 @@ fn streaming_merge_matches_materialized_merge() {
 
 /// The codec spill is exact: a trace written through `TraceWriter` and
 /// read back through `TraceReader` replays request-for-request, including
-/// float bit patterns, and simulating the replay matches simulating the
-/// original trace.
+/// float bit patterns, and `SpilledTrace::replay` equals `Simulator::run`
+/// on the original trace at 1, 2 and 8 simulator threads, fault-free and
+/// under a chaos plan. The trace spans more than two 1024-request
+/// windows, so the 2- and 8-thread replays take the sharded pass.
 #[test]
 fn codec_spill_round_trips_through_simulation() {
     use dpm_trace::RequestStream;
 
     let config = ExperimentConfig::default();
-    let app = dpm_apps::by_name("FFT", Scale::Tiny).unwrap();
+    let app = dpm_apps::by_name("AST", Scale::Tiny).unwrap();
     let program = app.program();
-    let layout = dpm_layout::LayoutMap::new(&program, config.striping);
+    let layout = LayoutMap::new(&program, config.striping);
     let deps = dpm_ir::analyze(&program);
-    let gen = dpm_trace::TraceGenerator::new(&program, &layout, config.trace)
-        .with_disk_params(config.disk);
-    let schedule =
-        dpm_bench::build_schedule(&program, &layout, &deps, dpm_bench::ScheduleShape::Plain, 1);
+    let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
+    let schedule = build_schedule(&program, &layout, &deps, ScheduleShape::ClusteredS, 1);
     let (trace, _) = gen.generate(&schedule);
+    assert!(trace.len() > 2048, "trace too short to shard");
 
     let mut writer = dpm_trace::TraceWriter::new(Vec::new());
     for r in trace.requests() {
@@ -182,18 +217,24 @@ fn codec_spill_round_trips_through_simulation() {
     }
     assert_eq!(trace.requests(), &replayed[..], "codec replay diverged");
 
-    let sim =
-        dpm_disksim::Simulator::new(config.disk, dpm_disksim::PowerPolicy::None, config.striping);
-    let mut direct = sim.run(&trace);
-    let mut reader = dpm_trace::TraceReader::new(&bytes[..]).unwrap();
-    let mut streamed = sim.run_stream(&mut reader);
-    // The instrumentation run id is the only per-run field; everything
-    // else must match bit for bit.
-    direct.obs_run = 0;
-    streamed.obs_run = 0;
-    assert_eq!(
-        format!("{direct:?}"),
-        format!("{streamed:?}"),
-        "simulating the codec replay diverged from the direct run"
-    );
+    let spill = SpilledTrace::spill(&gen, &schedule);
+    for faults in [FaultPlan::zero(), FaultPlan::chaos(0xD15C_FA17, 0.05)] {
+        for policy in [Version::TTpmS.policy(), Version::TDrpmS.policy()] {
+            let sim = Simulator::new(config.disk, policy, config.striping).with_faults(faults);
+            // The instrumentation run id is the only per-run field;
+            // everything else must match bit for bit.
+            let mut direct = sim.clone().with_exec_threads(1).run(&trace);
+            direct.obs_run = 0;
+            for threads in [1, 2, 8] {
+                let mut streamed = spill.replay(&sim.clone().with_exec_threads(threads));
+                streamed.obs_run = 0;
+                assert_eq!(
+                    format!("{direct:?}"),
+                    format!("{streamed:?}"),
+                    "{threads} threads, faults {}: replay diverged from run",
+                    !faults.is_zero()
+                );
+            }
+        }
+    }
 }

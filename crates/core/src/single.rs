@@ -128,7 +128,7 @@ fn compute_masks(program: &Program, layout: &LayoutMap, tables: &[NestTable]) ->
 /// processor, clustering accesses disk by disk while honouring data
 /// dependences.
 ///
-/// The per-disk pools `Q_d` are held as [`IdBitset`]s over global iteration
+/// The per-disk pools `Q_d` are held as bitsets over global iteration
 /// ids, so a disk pass visits only the iterations with affinity to that
 /// disk instead of filtering the whole pool per pass; the schedule produced
 /// is bit-identical to [`restructure_single_reference`], which keeps the

@@ -479,8 +479,13 @@ pub fn check_accounting(report: &SimReport, acc: &TraceAccounting) -> Vec<Violat
     v
 }
 
-/// Runs both checkers against a materialized trace and panics with the
-/// full violation list if any invariant fails.
+/// Runs the report checks — tier-aware when `tiers` is set: per-disk
+/// invariants under each disk's own class parameters, per-tier energy
+/// conservation, tier-report consistency, migration byte balance — plus
+/// request conservation against the accounting the event loop
+/// accumulated, and panics with the full violation list if any invariant
+/// fails. Debug builds run this at the end of every simulation
+/// ([`SimRun::finish`](crate::SimRun::finish)).
 ///
 /// # Panics
 ///
@@ -488,60 +493,14 @@ pub fn check_accounting(report: &SimReport, acc: &TraceAccounting) -> Vec<Violat
 pub fn assert_clean(
     report: &SimReport,
     params: &DiskParams,
-    raid: &RaidConfig,
-    trace: &Trace,
-    striping: &Striping,
-) {
-    let mut v = check_report(report, params, raid);
-    v.extend(check_trace_accounting(report, trace, striping));
-    assert!(
-        v.is_empty(),
-        "simulator invariants violated:\n{}",
-        v.iter().map(|x| format!("  - {x}\n")).collect::<String>()
-    );
-}
-
-/// Streaming form of [`assert_clean`]: same report checks, request
-/// conservation judged against the accounting the event loop accumulated.
-/// This is what debug builds run after every
-/// [`Simulator::run_stream`](crate::Simulator::run_stream) — and hence
-/// after every [`Simulator::run`](crate::Simulator::run), whose `&Trace`
-/// path is an adapter over the same loop.
-///
-/// # Panics
-///
-/// Panics when any invariant is violated.
-pub fn assert_clean_streamed(
-    report: &SimReport,
-    params: &DiskParams,
+    tiers: Option<&TierConfig>,
     raid: &RaidConfig,
     acc: &TraceAccounting,
 ) {
-    let mut v = check_report(report, params, raid);
-    v.extend(check_accounting(report, acc));
-    assert!(
-        v.is_empty(),
-        "simulator invariants violated:\n{}",
-        v.iter().map(|x| format!("  - {x}\n")).collect::<String>()
-    );
-}
-
-/// Tier-aware form of [`assert_clean_streamed`]: what debug builds run
-/// after every heterogeneous [`Simulator::run_stream`](crate::Simulator)
-/// — per-disk invariants under each disk's own class parameters, per-tier
-/// energy conservation, tier-report consistency, migration byte balance,
-/// and request conservation.
-///
-/// # Panics
-///
-/// Panics when any invariant is violated.
-pub fn assert_clean_streamed_tiered(
-    report: &SimReport,
-    config: &TierConfig,
-    raid: &RaidConfig,
-    acc: &TraceAccounting,
-) {
-    let mut v = check_report_tiered(report, config, raid);
+    let mut v = match tiers {
+        Some(config) => check_report_tiered(report, config, raid),
+        None => check_report(report, params, raid),
+    };
     v.extend(check_accounting(report, acc));
     assert!(
         v.is_empty(),

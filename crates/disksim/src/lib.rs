@@ -57,7 +57,7 @@ pub use params::{
     Tier, TierConfig, TpmConfig,
 };
 pub use request::{IoRequest, RequestKind, Trace, TraceParseError, TRACE_BLOCK_BYTES};
-pub use sim::Simulator;
+pub use sim::{SimRun, Simulator};
 pub use stats::{
     ascii_timelines, coalesce_spans, timelines_from_events, DiskStats, IdleHistogram,
     MigrationEvent, SimReport, Span, SpanState, TierReport, TierStats,

@@ -5,7 +5,7 @@
 
 use crate::disk::{DiskSim, ServiceOutcome, SubRequest};
 use crate::params::{DiskParams, MigrationConfig, PowerPolicy, RaidConfig, TierConfig};
-use crate::request::Trace;
+use crate::request::{IoRequest, Trace};
 use crate::stats::{MigrationEvent, SimReport, TierReport, TierStats};
 use crate::stream::{RequestStream, TraceAccounting, TraceStream};
 use dpm_faults::FaultPlan;
@@ -133,18 +133,6 @@ impl Simulator {
             .map_or(self.striping.num_disks(), |t| t.config.num_disks())
     }
 
-    fn make_router(&self) -> Option<TierRouter> {
-        self.tiers.as_ref().map(|t| TierRouter {
-            volume: t.volume.clone(),
-            migration: t.migration,
-            rng: XorShift64Star::new(t.migration.map_or(0, |m| m.seed)),
-            counts: Vec::new(),
-            seen: 0,
-            processed: 0,
-            events: Vec::new(),
-        })
-    }
-
     /// Arms a deterministic fault plan. The zero plan (the default) takes
     /// the fault-free fast path and is bit-identical to a simulator that
     /// never heard of faults; any other plan derives one independent
@@ -211,95 +199,62 @@ impl Simulator {
         self.striping.split_range_into(offset, len, out);
     }
 
-    fn make_disks(&self, obs_run: u64) -> Vec<DiskSim> {
-        (0..self.num_disks())
-            .map(|disk| {
-                let params = self
-                    .tiers
-                    .as_ref()
-                    .map_or(self.params, |t| *t.config.params_of_disk(disk));
-                let mut d = DiskSim::with_raid(params, self.policy, self.raid);
-                d.set_obs_identity(obs_run, disk);
-                if self.timelines {
-                    d.record_timeline();
-                }
-                if !self.faults.is_zero() {
-                    d.set_fault_injector(self.faults.injector_for_disk(disk));
-                }
-                d
-            })
-            .collect()
-    }
-
-    fn build_report(
-        &self,
-        disks: Vec<DiskSim>,
-        acc: Accum,
-        app_requests: u64,
-        obs_run: u64,
-        events: Vec<MigrationEvent>,
-    ) -> SimReport {
-        let idle_histograms = disks.iter().map(|d| d.idle_histogram().clone()).collect();
-        let timelines = if self.timelines {
-            Some(
-                disks
-                    .iter()
-                    .map(|d| d.timeline().unwrap_or_default().to_vec())
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let stream = disks.iter().map(|d| d.stream_metrics().clone()).collect();
-        let per_disk: Vec<_> = disks.into_iter().map(|d| d.stats().clone()).collect();
-        let tiers = match &self.tiers {
-            Some(setup) => {
-                let cfg = &setup.config;
-                let per_tier = (0..cfg.num_tiers())
-                    .map(|t| {
-                        let lo = cfg.first_disk(t);
-                        let slice = &per_disk[lo..lo + cfg.tiers()[t].disks];
-                        TierStats {
-                            class: cfg.tiers()[t].class.name,
-                            disks: cfg.tiers()[t].disks,
-                            energy_j: slice.iter().map(|d| d.energy_j).sum(),
-                            busy_ms: slice.iter().map(|d| d.busy_ms).sum(),
-                            standby_ms: slice.iter().map(|d| d.standby_ms).sum(),
-                            spin_downs: slice.iter().map(|d| d.spin_downs).sum(),
-                            migration_requests: slice.iter().map(|d| d.migration_requests).sum(),
-                            migration_bytes: slice.iter().map(|d| d.migration_bytes).sum(),
-                        }
-                    })
-                    .collect();
-                Some(TierReport { per_tier, events })
-            }
-            None => None,
-        };
-        SimReport {
-            makespan_ms: acc.makespan,
-            total_io_time_ms: acc.total_io_time_ms,
-            total_response_ms: acc.total_response_ms,
-            idle_histograms,
-            timelines,
-            stream,
-            per_disk,
-            app_requests,
-            obs_run,
-            tiers,
-        }
-    }
-
     /// Runs the simulation over a (time-sorted) trace: the thin adapter
     /// over [`run_stream`](Self::run_stream), feeding the materialized
-    /// requests through the same event loop a live stream would use. The
-    /// two paths are bit-identical by construction (and proven so by
-    /// `tests/stream_equivalence.rs`).
+    /// requests through the same event loop a live stream would use.
     ///
     /// # Panics
     ///
     /// Panics if the trace's arrivals are not non-decreasing.
     pub fn run(&self, trace: &Trace) -> SimReport {
         self.run_stream(&mut TraceStream::new(trace))
+    }
+
+    /// Opens a push-style run: the caller [`feed`](SimRun::feed)s it one
+    /// request at a time and collects the report with
+    /// [`finish`](SimRun::finish). This is the one serial event loop:
+    /// [`run_stream`](Self::run_stream) drives it for single-stream
+    /// replays, and a caller that owns the stream can drive several runs
+    /// from one pass over it (one trace, many power policies).
+    pub fn start(&self) -> SimRun<'_> {
+        let obs_run = dpm_obs::next_run_id();
+        let mut span = dpm_obs::span!("simulate");
+        span.add("run", obs_run);
+        SimRun {
+            sim: self,
+            obs_run,
+            span,
+            disks: (0..self.num_disks())
+                .map(|disk| {
+                    let params = self
+                        .tiers
+                        .as_ref()
+                        .map_or(self.params, |t| *t.config.params_of_disk(disk));
+                    let mut d = DiskSim::with_raid(params, self.policy, self.raid);
+                    d.set_obs_identity(obs_run, disk);
+                    if self.timelines {
+                        d.record_timeline();
+                    }
+                    if !self.faults.is_zero() {
+                        d.set_fault_injector(self.faults.injector_for_disk(disk));
+                    }
+                    d
+                })
+                .collect(),
+            router: self.tiers.as_ref().map(|t| TierRouter {
+                volume: t.volume.clone(),
+                migration: t.migration,
+                rng: XorShift64Star::new(t.migration.map_or(0, |m| m.seed)),
+                counts: Vec::new(),
+                seen: 0,
+                processed: 0,
+                events: Vec::new(),
+            }),
+            accounting: TraceAccounting::new(self.num_disks()),
+            acc: Accum::default(),
+            prev_arrival: f64::NEG_INFINITY,
+            pieces: Vec::new(),
+        }
     }
 
     /// Runs the simulation over any [`RequestStream`], pulling one request
@@ -312,122 +267,40 @@ impl Simulator {
     /// `DPM_THREADS`) and the volume has more than one disk — but only
     /// after probing the stream for a full window of requests: a run that
     /// ends inside its first window cannot amortize a worker lease, so it
-    /// takes the serial reference pass no matter the thread count. Both
-    /// passes produce bit-identical reports, so the adaptive choice is
-    /// invisible in the output.
+    /// takes the serial pass ([`SimRun::feed`]) no matter the thread
+    /// count. Both passes produce bit-identical reports, so the adaptive
+    /// choice is invisible in the output.
     ///
     /// # Panics
     ///
     /// Panics if the stream's arrivals are not non-decreasing.
     pub fn run_stream(&self, stream: &mut dyn RequestStream) -> SimReport {
-        let obs_run = dpm_obs::next_run_id();
         let _prof = dpm_prof::scope("simulate");
-        let mut sp = dpm_obs::span!("simulate");
-        sp.add("run", obs_run);
+        let mut run = self.start();
         let threads =
             dpm_exec::effective_threads(self.threads.unwrap_or_else(dpm_exec::num_threads));
-        let (report, accounting) = if threads > 1 && self.num_disks() > 1 {
-            let mut prefix = Vec::with_capacity(STREAM_WINDOW);
-            while prefix.len() < STREAM_WINDOW {
-                match stream.next_request() {
-                    Some(r) => prefix.push(r),
-                    None => break,
-                }
-            }
-            let small = prefix.len() < STREAM_WINDOW;
-            let mut probed = crate::stream::Prefetched::new(prefix, stream);
-            if small {
-                self.run_stream_serial(&mut probed, obs_run)
-            } else {
-                sp.add("workers", self.num_disks() as u64);
-                self.run_stream_sharded(&mut probed, obs_run)
-            }
+        let probe = if threads > 1 && self.num_disks() > 1 {
+            STREAM_WINDOW
         } else {
-            self.run_stream_serial(stream, obs_run)
+            0
         };
-        sp.add("app_requests", report.app_requests);
-        sp.add(
-            "sub_requests",
-            report.per_disk.iter().map(|d| d.requests).sum(),
-        );
-        // Debug builds (hence every `cargo test`) verify the conservation
-        // laws after every run; see [`crate::invariants`]. Request
-        // conservation is judged against the accounting gathered while the
-        // stream flowed past — there is no trace to re-walk.
-        #[cfg(debug_assertions)]
-        match &self.tiers {
-            Some(setup) => crate::invariants::assert_clean_streamed_tiered(
-                &report,
-                &setup.config,
-                &self.raid,
-                &accounting,
-            ),
-            None => crate::invariants::assert_clean_streamed(
-                &report,
-                &self.params,
-                &self.raid,
-                &accounting,
-            ),
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = &accounting;
-        report
-    }
-
-    /// The serial reference pass: services every sub-request inline, in
-    /// request order, pieces in `(disk, local_byte)` order within a request.
-    fn run_stream_serial(
-        &self,
-        stream: &mut dyn RequestStream,
-        obs_run: u64,
-    ) -> (SimReport, TraceAccounting) {
-        let _prof = dpm_prof::scope("sim_event_loop");
-        let mut disks = self.make_disks(obs_run);
-        let mut router = self.make_router();
-        let mut accounting = TraceAccounting::new(self.num_disks());
-        let mut acc = Accum::default();
-        let mut prev_arrival = f64::NEG_INFINITY;
-        let mut pieces: Vec<(usize, u64, u64)> = Vec::new();
-        while let Some(r) = stream.next_request() {
-            assert!(
-                r.arrival_ms >= prev_arrival,
-                "trace must be sorted by arrival time"
-            );
-            prev_arrival = r.arrival_ms;
-            let mut completion = r.arrival_ms;
-            let mut device_ms = 0.0_f64;
-            match &router {
-                Some(rt) => rt.volume.split_range_into(r.offset, r.len, &mut pieces),
-                None => self.split_request_into(r.offset, r.len, &mut pieces),
-            }
-            accounting.push(&r, &pieces);
-            for &(disk, local_byte, len) in &pieces {
-                let out = disks[disk].service(&SubRequest {
-                    arrival_ms: r.arrival_ms,
-                    local_byte,
-                    len,
-                    migration: false,
-                });
-                completion = completion.max(out.completion_ms);
-                device_ms = device_ms.max(out.stall_ms + out.service_ms);
-            }
-            acc.push(r.arrival_ms, completion, device_ms);
-            if let Some(rt) = &mut router {
-                for (disk, sub) in rt.after_request(r.offset, r.arrival_ms) {
-                    let out = disks[disk].service(&sub);
-                    acc.observe(out.completion_ms);
-                }
+        let prefix: Vec<IoRequest> = std::iter::from_fn(|| stream.next_request())
+            .take(probe)
+            .collect();
+        let sharded = prefix.len() == STREAM_WINDOW;
+        let mut requests = prefix
+            .into_iter()
+            .chain(std::iter::from_fn(|| stream.next_request()));
+        if sharded {
+            run.span.add("workers", self.num_disks() as u64);
+            self.run_stream_sharded(&mut run, &mut requests);
+        } else {
+            let _prof = dpm_prof::scope("sim_event_loop");
+            for r in requests {
+                run.feed(&r);
             }
         }
-        for d in &mut disks {
-            d.finish(acc.makespan);
-        }
-        let app_requests = accounting.app_requests;
-        let events = router.map(|r| r.events).unwrap_or_default();
-        (
-            self.build_report(disks, acc, app_requests, obs_run, events),
-            accounting,
-        )
+        run.finish()
     }
 
     /// The sharded streaming pass: a windowed pipeline over persistent
@@ -447,21 +320,29 @@ impl Simulator {
     /// the serial pass's order, so per-disk outcomes — fault decisions
     /// included, they are a function of the disk's own decision sequence —
     /// and the joined aggregates are bit-identical to the serial pass.
+    /// The run's disks are lent to the workers for the pass and handed
+    /// back to `run`, whose [`finish`](SimRun::finish) builds the report.
     fn run_stream_sharded(
         &self,
-        stream: &mut dyn RequestStream,
-        obs_run: u64,
-    ) -> (SimReport, TraceAccounting) {
+        run: &mut SimRun<'_>,
+        requests: &mut dyn Iterator<Item = IoRequest>,
+    ) {
         let n = self.num_disks();
-        let mut accounting = TraceAccounting::new(n);
-        let mut acc = Accum::default();
-        let mut router = self.make_router();
+        let SimRun {
+            disks,
+            router,
+            accounting,
+            acc,
+            prev_arrival,
+            pieces,
+            ..
+        } = run;
 
         // One window awaiting join while the next is in service: capacity
         // two batches per queue gives the pipeline its single overlap slot
         // without unbounded buffering.
-        let (mut disks, ()) = dpm_exec::shard_scope(
-            self.make_disks(obs_run),
+        let (lent, ()) = dpm_exec::shard_scope(
+            std::mem::take(disks),
             2,
             |_disk_id, disk: &mut DiskSim, batch: Vec<SubRequest>| {
                 let _prof = dpm_prof::scope("sim_event_loop");
@@ -472,8 +353,6 @@ impl Simulator {
             },
             |feeder| {
                 let _prof = dpm_prof::scope("sim_split");
-                let mut prev_arrival = f64::NEG_INFINITY;
-                let mut pieces: Vec<(usize, u64, u64)> = Vec::new();
                 let mut batches: Vec<Vec<SubRequest>> = vec![Vec::new(); n];
                 // The window being assembled: per request its arrival and
                 // piece count, plus the flat piece→disk list in split
@@ -484,24 +363,24 @@ impl Simulator {
                 while !exhausted || !in_flight.is_empty() || !window.arrivals.is_empty() {
                     // Assemble one window.
                     while !exhausted && window.arrivals.len() < STREAM_WINDOW {
-                        let Some(r) = stream.next_request() else {
+                        let Some(r) = requests.next() else {
                             exhausted = true;
                             break;
                         };
                         assert!(
-                            r.arrival_ms >= prev_arrival,
+                            r.arrival_ms >= *prev_arrival,
                             "trace must be sorted by arrival time"
                         );
-                        prev_arrival = r.arrival_ms;
-                        match &router {
-                            Some(rt) => rt.volume.split_range_into(r.offset, r.len, &mut pieces),
-                            None => self.split_request_into(r.offset, r.len, &mut pieces),
+                        *prev_arrival = r.arrival_ms;
+                        match &*router {
+                            Some(rt) => rt.volume.split_range_into(r.offset, r.len, pieces),
+                            None => self.split_request_into(r.offset, r.len, pieces),
                         }
-                        accounting.push(&r, &pieces);
+                        accounting.push(&r, pieces);
                         window.arrivals.push(r.arrival_ms);
                         window.piece_counts.push(pieces.len() as u32);
                         window.migration.push(false);
-                        for &(disk, local_byte, len) in &pieces {
+                        for &(disk, local_byte, len) in pieces.iter() {
                             window.piece_disks.push(disk as u32);
                             batches[disk].push(SubRequest {
                                 arrival_ms: r.arrival_ms,
@@ -566,15 +445,147 @@ impl Simulator {
                 }
             },
         );
-        for d in &mut disks {
+        *disks = lent;
+    }
+}
+
+/// A simulation in progress, opened by [`Simulator::start`]: the serial
+/// event loop in push form. Each [`feed`](Self::feed) services one
+/// application request inline — pieces in `(disk, local_byte)` order — and
+/// [`finish`](Self::finish) closes every disk at the makespan and returns
+/// the report. Memory is O(disks) whatever the number of requests fed.
+///
+/// The run owns its `simulate` instrumentation span (stamped with the
+/// run id, closed with the `app_requests` and `sub_requests` counters),
+/// so it spans the run's whole life from `start` to `finish`. Debug
+/// builds check the conservation laws in `finish` (see
+/// [`crate::invariants`]) against the accounting gathered as requests were
+/// fed — there is no trace to re-walk.
+pub struct SimRun<'s> {
+    sim: &'s Simulator,
+    obs_run: u64,
+    span: dpm_obs::SpanGuard,
+    disks: Vec<DiskSim>,
+    router: Option<TierRouter>,
+    accounting: TraceAccounting,
+    acc: Accum,
+    prev_arrival: f64,
+    pieces: Vec<(usize, u64, u64)>,
+}
+
+impl SimRun<'_> {
+    /// Services one application request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` arrives before the previously fed request.
+    #[inline]
+    pub fn feed(&mut self, r: &IoRequest) {
+        assert!(
+            r.arrival_ms >= self.prev_arrival,
+            "trace must be sorted by arrival time"
+        );
+        self.prev_arrival = r.arrival_ms;
+        let mut completion = r.arrival_ms;
+        let mut device_ms = 0.0_f64;
+        match &self.router {
+            Some(rt) => rt
+                .volume
+                .split_range_into(r.offset, r.len, &mut self.pieces),
+            None => self
+                .sim
+                .split_request_into(r.offset, r.len, &mut self.pieces),
+        }
+        self.accounting.push(r, &self.pieces);
+        for &(disk, local_byte, len) in &self.pieces {
+            let out = self.disks[disk].service(&SubRequest {
+                arrival_ms: r.arrival_ms,
+                local_byte,
+                len,
+                migration: false,
+            });
+            completion = completion.max(out.completion_ms);
+            device_ms = device_ms.max(out.stall_ms + out.service_ms);
+        }
+        self.acc.push(r.arrival_ms, completion, device_ms);
+        if let Some(rt) = &mut self.router {
+            for (disk, sub) in rt.after_request(r.offset, r.arrival_ms) {
+                let out = self.disks[disk].service(&sub);
+                self.acc.observe(out.completion_ms);
+            }
+        }
+    }
+
+    /// Closes every disk at the makespan and builds the report.
+    pub fn finish(mut self) -> SimReport {
+        let (sim, acc) = (self.sim, self.acc);
+        for d in &mut self.disks {
             d.finish(acc.makespan);
         }
-        let app_requests = accounting.app_requests;
-        let events = router.map(|r| r.events).unwrap_or_default();
-        (
-            self.build_report(disks, acc, app_requests, obs_run, events),
-            accounting,
-        )
+        let disks = self.disks;
+        let idle_histograms = disks.iter().map(|d| d.idle_histogram().clone()).collect();
+        let timelines = if sim.timelines {
+            Some(
+                disks
+                    .iter()
+                    .map(|d| d.timeline().unwrap_or_default().to_vec())
+                    .collect(),
+            )
+        } else {
+            None
+        };
+        let stream = disks.iter().map(|d| d.stream_metrics().clone()).collect();
+        let per_disk: Vec<_> = disks.into_iter().map(|d| d.stats().clone()).collect();
+        let tiers = match &sim.tiers {
+            Some(setup) => {
+                let cfg = &setup.config;
+                let per_tier = (0..cfg.num_tiers())
+                    .map(|t| {
+                        let lo = cfg.first_disk(t);
+                        let slice = &per_disk[lo..lo + cfg.tiers()[t].disks];
+                        TierStats {
+                            class: cfg.tiers()[t].class.name,
+                            disks: cfg.tiers()[t].disks,
+                            energy_j: slice.iter().map(|d| d.energy_j).sum(),
+                            busy_ms: slice.iter().map(|d| d.busy_ms).sum(),
+                            standby_ms: slice.iter().map(|d| d.standby_ms).sum(),
+                            spin_downs: slice.iter().map(|d| d.spin_downs).sum(),
+                            migration_requests: slice.iter().map(|d| d.migration_requests).sum(),
+                            migration_bytes: slice.iter().map(|d| d.migration_bytes).sum(),
+                        }
+                    })
+                    .collect();
+                let events = self.router.map(|r| r.events).unwrap_or_default();
+                Some(TierReport { per_tier, events })
+            }
+            None => None,
+        };
+        let report = SimReport {
+            makespan_ms: acc.makespan,
+            total_io_time_ms: acc.total_io_time_ms,
+            total_response_ms: acc.total_response_ms,
+            idle_histograms,
+            timelines,
+            stream,
+            per_disk,
+            app_requests: self.accounting.app_requests,
+            obs_run: self.obs_run,
+            tiers,
+        };
+        self.span.add("app_requests", report.app_requests);
+        self.span.add(
+            "sub_requests",
+            report.per_disk.iter().map(|d| d.requests).sum(),
+        );
+        #[cfg(debug_assertions)]
+        crate::invariants::assert_clean(
+            &report,
+            &sim.params,
+            sim.tier_config(),
+            &sim.raid,
+            &self.accounting,
+        );
+        report
     }
 }
 
@@ -723,7 +734,7 @@ struct WindowMeta {
 }
 
 /// The per-request aggregates both passes fold in identical order.
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 struct Accum {
     total_io_time_ms: f64,
     total_response_ms: f64,

@@ -57,31 +57,6 @@ impl RequestStream for TraceStream<'_> {
     }
 }
 
-/// Replays an already-pulled prefix before draining the rest of the
-/// underlying stream. `Simulator::run_stream` uses it to probe one
-/// window's worth of requests when sizing its dispatch — the probe must
-/// not lose what it pulled.
-pub(crate) struct Prefetched<'a> {
-    prefix: std::vec::IntoIter<IoRequest>,
-    rest: &'a mut dyn RequestStream,
-}
-
-impl<'a> Prefetched<'a> {
-    /// A stream yielding `prefix` in order, then everything left in `rest`.
-    pub(crate) fn new(prefix: Vec<IoRequest>, rest: &'a mut dyn RequestStream) -> Prefetched<'a> {
-        Prefetched {
-            prefix: prefix.into_iter(),
-            rest,
-        }
-    }
-}
-
-impl RequestStream for Prefetched<'_> {
-    fn next_request(&mut self) -> Option<IoRequest> {
-        self.prefix.next().or_else(|| self.rest.next_request())
-    }
-}
-
 /// Expected-work totals accumulated while a stream is consumed, replacing
 /// the post-hoc trace walk the invariant checker used to do: application
 /// request/byte counts and, per disk, the sub-requests and bytes the

@@ -6,7 +6,7 @@
 //! instrumentation layer the rest of the workspace records that structure
 //! with:
 //!
-//! * **Spans** — [`span`] / [`span!`] return a guard that emits
+//! * **Spans** — [`span()`] / [`span!`] return a guard that emits
 //!   `span_begin`/`span_end` events with wall-clock duration, nesting
 //!   (parent ids via a per-thread stack), and per-span counters. Compiler
 //!   passes wrap their phases in spans; the bench harness turns the
@@ -232,7 +232,7 @@ struct SpanData {
     counters: Vec<(&'static str, u64)>,
 }
 
-/// Guard object returned by [`span`]: emits `span_end` (with duration and
+/// Guard object returned by [`span()`]: emits `span_end` (with duration and
 /// accumulated counters) when dropped. Inert — a single `None` — when
 /// instrumentation is disabled.
 pub struct SpanGuard {
@@ -320,7 +320,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
-/// `span!("name")` — sugar for [`span`], mirroring the usual tracing-macro
+/// `span!("name")` — sugar for [`span()`], mirroring the usual tracing-macro
 /// shape.
 #[macro_export]
 macro_rules! span {

@@ -28,7 +28,7 @@ const DEPTH_WINDOW: usize = 64;
 /// The per-disk sub-request stream arrives in non-decreasing arrival
 /// order and completes in FIFO order, so the set of outstanding requests
 /// at any arrival is a suffix of recent completions. The gauge keeps at
-/// most [`DEPTH_WINDOW`] completion times (constant memory) and
+/// most a fixed window of 64 completion times (constant memory) and
 /// integrates `depth × Δt` between arrivals.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueueDepthGauge {

@@ -40,6 +40,10 @@ run cargo clippy --offline --workspace --lib -- \
     -D clippy::undocumented_unsafe_blocks \
     -D clippy::unwrap_used
 
+# Rustdoc gate: a broken, ambiguous or private intra-doc link (for
+# example one naming a function that no longer exists) fails the build.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # Benchmark self-tests: Tiny runs of the repo benchmark (e2ebench/) check
 # every pinned paper-matrix and compile-verify output against
 # e2ebench/expected/ and cross-check the policy-sweep streamed replays
@@ -89,9 +93,10 @@ run ./target/release/poly_bench small BENCH_poly.json
 run ./target/release/chaos_bench tiny BENCH_chaos.json
 
 # Streaming-pipeline gate: generation → codec spill → replay → simulate at
-# Tiny and Small with a counting allocator; hard-fails unless peak heap is
-# flat across a 16x request growth (O(disks + window) memory) and the
-# codec stays within 16 bytes/request.
+# Tiny and Small with a counting allocator, plus the experiment pipeline's
+# one-pass fan-out into three policies' simulators; hard-fails unless both
+# peak heaps are flat across a 16x request growth (O(disks + window)
+# memory) and the codec stays within 16 bytes/request.
 run ./target/release/stream_bench BENCH_stream.json
 
 # Tiered-placement gate: the whole suite through flat / compiler-placed /

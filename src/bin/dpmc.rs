@@ -198,6 +198,23 @@ fn run() -> Result<(), String> {
     let layout = LayoutMap::new(&program, striping);
     let deps = analyze(&program);
 
+    // The transforms and the trace generator assume every access lies
+    // inside its array; report the lint pass's errors (for example
+    // `E_FOOTPRINT_OOB`) instead of panicking deep inside a transform.
+    if matches!(
+        o.command.as_str(),
+        "emit" | "trace" | "simulate" | "optimize"
+    ) {
+        let errors: Vec<String> = lint_program(&program, Some(&layout), &deps)
+            .iter()
+            .filter(|d| d.severity == disk_reuse::analyze::Severity::Error)
+            .map(ToString::to_string)
+            .collect();
+        if !errors.is_empty() {
+            return Err(errors.join("\n"));
+        }
+    }
+
     match o.command.as_str() {
         "analyze" => {
             let mut text = format!(
