@@ -9,7 +9,8 @@
 //!    bit-identical to the reference engine. A mismatch exits non-zero.
 //! 2. **Microbenches**: counting and `Q_d` footprint construction at
 //!    `Scale::Large` geometry, closed-form vs enumerated, plus cached vs
-//!    uncached repeated queries and the two scheduling engines. The
+//!    uncached repeated queries, the two scheduling engines (AST at Tiny)
+//!    and the bitset engine on a dependence-heavy program (FFT at Small). The
 //!    closed-vs-enumerated speedup must reach 10x on the counting or the
 //!    `Q_d` bench, or the run fails.
 //! 3. **Matrix**: the figure-9(a) experiment matrix at the requested scale
@@ -300,6 +301,19 @@ fn main() {
         });
         record.metric("core_schedule_bitset_ns", bitset.ns_per_iter);
         record.metric("core_schedule_reference_ns", refeng.ns_per_iter);
+    }
+    // AST at Tiny is dominated by `qd_masks`; FFT at Small chains its
+    // nests by transposed exact cross-nest maps, so the dependence
+    // readiness check (predecessor lookups) carries its schedule time.
+    group("Figure-3 scheduler (FFT at Small, bitset)");
+    {
+        let program = dpm_apps::fft(Scale::Small).program();
+        let layout = LayoutMap::new(&program, dpm_apps::paper_striping());
+        let deps = dpm_ir::analyze(&program);
+        let fft = bench("core/schedule_fft_small", || {
+            dpm_core::restructure_single(&program, &layout, &deps)
+        });
+        record.metric("core_schedule_fft_small_ns", fft.ns_per_iter);
     }
 
     // ---- speedup gate -------------------------------------------------

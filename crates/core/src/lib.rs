@@ -42,6 +42,8 @@
 mod classic;
 mod directives;
 mod multi;
+#[cfg(test)]
+mod restructure_oracle;
 mod schedule;
 mod single;
 mod symbolic;

@@ -200,25 +200,32 @@ fn baseline_chunks(
     };
     // Iteration count per parallel-loop value, for a load-balanced block
     // partition (equal-value ranges would skew badly on triangular nests).
-    use std::collections::BTreeMap;
-    let mut per_value: BTreeMap<i64, u64> = BTreeMap::new();
+    // Loops have unit step, so the values a nest takes form one range and
+    // a dense table indexed by `pt[k] - lo` replaces a map.
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
     let mut total = 0u64;
     dpm_trace::walk_nest(nest, &mut |pt| {
-        *per_value.entry(pt[k]).or_insert(0) += 1;
+        lo = lo.min(pt[k]);
+        hi = hi.max(pt[k]);
         total += 1;
     });
+    if total == 0 {
+        return vec![Vec::new(); num_procs as usize];
+    }
+    let width = usize::try_from(hi - lo + 1).expect("parallel loop range fits in memory");
+    let mut per_value = vec![0u64; width];
+    dpm_trace::walk_nest(nest, &mut |pt| per_value[(pt[k] - lo) as usize] += 1);
     // Assign each value of the parallel loop to a processor so cumulative
     // iteration counts split evenly.
-    let mut owner_of: BTreeMap<i64, u32> = BTreeMap::new();
+    let mut owner_of = vec![0u32; width];
     let mut seen = 0u64;
-    for (&v, &count) in &per_value {
-        let owner = ((seen * u64::from(num_procs)) / total.max(1)) as u32;
-        owner_of.insert(v, owner.min(num_procs - 1));
+    for (owner, &count) in owner_of.iter_mut().zip(&per_value) {
+        *owner = (((seen * u64::from(num_procs)) / total) as u32).min(num_procs - 1);
         seen += count;
     }
     let mut chunks = vec![Vec::new(); num_procs as usize];
     dpm_trace::walk_nest(nest, &mut |pt| {
-        let owner = owner_of[&pt[k]];
+        let owner = owner_of[(pt[k] - lo) as usize];
         chunks[owner as usize].push(CompactIter::new(ni, pt));
     });
     chunks

@@ -33,15 +33,35 @@ impl CompactIter {
             iter.len(),
             Self::MAX_DEPTH
         );
+        Self::try_new(nest, iter).expect("iteration coordinate overflows i32 or too many nests")
+    }
+
+    /// Packs an iteration point, or `None` if it is deeper than
+    /// [`Self::MAX_DEPTH`] or a coordinate overflows `i32` (such a point
+    /// is in no schedule).
+    pub(crate) fn try_new(nest: NestId, iter: &[i64]) -> Option<Self> {
+        if iter.len() > Self::MAX_DEPTH {
+            return None;
+        }
         let mut coords = [0i32; Self::MAX_DEPTH];
         for (c, &v) in coords.iter_mut().zip(iter) {
-            *c = i32::try_from(v).expect("iteration coordinate overflows i32");
+            *c = i32::try_from(v).ok()?;
         }
-        CompactIter {
-            nest: u16::try_from(nest).expect("too many nests"),
+        Some(CompactIter {
+            nest: u16::try_from(nest).ok()?,
             depth: iter.len() as u8,
             coords,
-        }
+        })
+    }
+
+    /// Lexicographic comparison of the coordinate tuples (same-nest,
+    /// same-depth iterations only). Compares the packed arrays directly:
+    /// equal depths and zero padding make that the tuple order.
+    #[inline]
+    pub(crate) fn cmp_coords(&self, other: &CompactIter) -> std::cmp::Ordering {
+        debug_assert_eq!(self.nest, other.nest);
+        debug_assert_eq!(self.depth, other.depth);
+        self.coords.cmp(&other.coords)
     }
 
     /// The iteration point as owned coordinates.

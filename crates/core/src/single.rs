@@ -53,7 +53,8 @@ impl IdBitset {
 
 /// Whether iteration `idx` of nest `ni` (global id `id`) has all its
 /// dependence predecessors scheduled — shared by both scheduling engines
-/// and the fallback path.
+/// and the fallback path. Predecessor points are built in stack buffers,
+/// so the check allocates nothing.
 fn iter_ready(
     tables: &[NestTable],
     id: usize,
@@ -72,25 +73,33 @@ fn iter_ready(
     if t.serial && idx > 0 && !scheduled[id - 1] {
         return false;
     }
-    if !t.distances.is_empty() {
-        let pt = t.iters[idx].coords_into(buf).to_vec();
-        for d in &t.distances {
-            let pred: Vec<i64> = pt.iter().zip(d).map(|(a, b)| a - b).collect();
-            if let Some(pid) = find_iter(&tables[ni], ni, &pred) {
-                if !scheduled[pid] {
-                    return false;
-                }
+    if t.distances.is_empty() && t.exact_preds.is_empty() {
+        return true;
+    }
+    let pt = t.iters[idx].coords_into(buf);
+    let mut pred = [0i64; CompactIter::MAX_DEPTH];
+    for d in &t.distances {
+        let n = pt.len().min(d.len());
+        for (p, (a, b)) in pred.iter_mut().zip(pt.iter().zip(d)) {
+            *p = a - b;
+        }
+        if let Some(pid) = find_iter(t, ni, &pred[..n]) {
+            if !scheduled[pid] {
+                return false;
             }
         }
     }
-    if !t.exact_preds.is_empty() {
-        let pt = t.iters[idx].coords_into(buf).to_vec();
-        for (src, map) in &t.exact_preds {
-            let pred = map.apply(&pt);
-            if let Some(pid) = find_iter(&tables[*src], *src, &pred) {
-                if !scheduled[pid] {
-                    return false;
-                }
+    for (src, map) in &t.exact_preds {
+        // The source nest's depth; its iterations are packed, so at most
+        // `MAX_DEPTH`.
+        let n = map.src_depth();
+        for (v, p) in pred[..n].iter_mut().enumerate() {
+            let (coef, dst_var, constant) = map.term(v);
+            *p = coef * pt[dst_var] + constant;
+        }
+        if let Some(pid) = find_iter(&tables[*src], *src, &pred[..n]) {
+            if !scheduled[pid] {
+                return false;
             }
         }
     }
@@ -154,12 +163,16 @@ pub fn restructure_single(
 ) -> Schedule {
     let mut sp = dpm_obs::span!("single_cpu_schedule");
     let _prof = dpm_prof::scope("restructure_single");
-    let tables = build_tables(program, deps);
+    let tables = {
+        let _prof = dpm_prof::scope("nest_tables");
+        build_tables(program, deps)
+    };
     let total: usize = tables.iter().map(|t| t.iters.len()).sum();
     let num_disks = layout.striping().num_disks();
     sp.add("iterations", total as u64);
 
     let masks = compute_masks(program, layout, &tables);
+    let _sweep = dpm_prof::scope("qd_sweep");
 
     // Stream the masks into per-disk bitsets (the Q_d of Figure 3) plus a
     // global-id → nest lookup, so each disk pass touches only its own pool.
@@ -449,7 +462,8 @@ fn build_tables(program: &Program, deps: &DependenceInfo) -> Vec<NestTable> {
 }
 
 /// Binary-searches a nest table for an iteration point, returning its
-/// global id.
+/// global id. The probe compares packed coordinates in place, so a lookup
+/// allocates nothing.
 ///
 /// A point that cannot be packed into a [`CompactIter`] — deeper than
 /// [`CompactIter::MAX_DEPTH`] or with a coordinate outside `i32` — cannot
@@ -459,7 +473,7 @@ fn build_tables(program: &Program, deps: &DependenceInfo) -> Vec<NestTable> {
 /// than silently dropped (see the `find_iter_out_of_range_*` regression
 /// tests).
 fn find_iter(table: &NestTable, nest: NestId, pt: &[i64]) -> Option<usize> {
-    if pt.len() > CompactIter::MAX_DEPTH || pt.iter().any(|&c| i32::try_from(c).is_err()) {
+    let Some(key) = CompactIter::try_new(nest, pt) else {
         dpm_obs::emit(
             "diagnostic",
             "find_iter_out_of_range",
@@ -470,22 +484,12 @@ fn find_iter(table: &NestTable, nest: NestId, pt: &[i64]) -> Option<usize> {
             ],
         );
         return None;
-    }
-    let key = CompactIter::new(nest, pt);
+    };
     table
         .iters
         .binary_search_by(|probe| probe.cmp_coords(&key))
         .ok()
         .map(|idx| table.base_id + idx)
-}
-
-impl CompactIter {
-    /// Lexicographic comparison of the coordinate tuples (same-nest,
-    /// same-depth iterations only).
-    pub(crate) fn cmp_coords(&self, other: &CompactIter) -> std::cmp::Ordering {
-        debug_assert_eq!(self.nest, other.nest);
-        self.coords().cmp(&other.coords())
-    }
 }
 
 #[cfg(test)]

@@ -45,6 +45,7 @@ use dpm_disksim::{DiskParams, IoRequest, RequestKind, Trace};
 use dpm_ir::{AccessKind, NestId, Program};
 use dpm_layout::LayoutMap;
 use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 mod codec;
 mod order;
@@ -141,38 +142,66 @@ struct Pending {
     first_ms: f64,
 }
 
-/// The per-processor reuse window: FIFO eviction order plus a hash set
-/// for O(1) membership. (The linear `VecDeque::contains` scan this
-/// replaces dominated generation time at full scale — window 128 probed
-/// for every block of every access.) Entries are unique — a block is only
-/// inserted after a miss — so the FIFO and the set stay in lockstep and
-/// the hit/miss sequence is unchanged.
+/// The per-processor reuse window: the last `cap` missed blocks, evicted
+/// FIFO. A `VecDeque` keeps the eviction order and a hash set answers
+/// membership, probed once per block of every access. The set hashes with
+/// [`BlockHasher`], a deterministic multiply-fold of the block id, rather
+/// than the default SipHash, and a touch costs one set operation on a hit
+/// and two on a miss. Entries are unique — a block is only inserted after
+/// a miss — so the FIFO and the set stay in lockstep and the hit/miss
+/// sequence is that of a FIFO with a linear `contains`.
 struct ReuseWindow {
     fifo: VecDeque<u64>,
-    set: HashSet<u64>,
+    set: HashSet<u64, BuildHasherDefault<BlockHasher>>,
 }
 
 impl ReuseWindow {
     fn with_capacity(cap: usize) -> ReuseWindow {
         ReuseWindow {
             fifo: VecDeque::with_capacity(cap),
-            set: HashSet::with_capacity(cap),
+            set: HashSet::with_capacity_and_hasher(cap + 1, BuildHasherDefault::default()),
         }
     }
 
-    fn contains(&self, block: u64) -> bool {
-        self.set.contains(&block)
-    }
-
-    /// Records a missed block, evicting the oldest once `cap` is reached.
-    fn insert(&mut self, block: u64, cap: usize) {
+    /// Whether `block` is in the window; a missed block is recorded,
+    /// evicting the oldest once the window holds `cap` blocks.
+    fn hit_or_insert(&mut self, block: u64, cap: usize) -> bool {
+        if !self.set.insert(block) {
+            return true;
+        }
         if self.fifo.len() == cap {
             if let Some(old) = self.fifo.pop_front() {
                 self.set.remove(&old);
             }
         }
         self.fifo.push_back(block);
-        self.set.insert(block);
+        false
+    }
+}
+
+/// Hasher for block ids: one 64×64→128-bit multiply by an odd constant,
+/// folded to 64 bits, so both the low bits (bucket index) and the high
+/// bits (control tag) of the hash depend on every bit of the id. Block ids
+/// come from the program's own layout, not from outside input, so the
+/// flooding resistance of SipHash buys nothing here.
+#[derive(Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15_u128;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -358,11 +387,10 @@ impl<'p> TraceGenerator<'p> {
                 continue;
             }
             // In the reuse window?
-            if self.options.reuse_window_blocks > 0 {
-                if st.recent.contains(b) {
-                    continue;
-                }
-                st.recent.insert(b, self.options.reuse_window_blocks);
+            if self.options.reuse_window_blocks > 0
+                && st.recent.hit_or_insert(b, self.options.reuse_window_blocks)
+            {
+                continue;
             }
             any_miss = true;
             // Extend a stream whose pending request ends exactly here.
@@ -751,6 +779,48 @@ mod tests {
         for r in trace.requests() {
             assert!(r.arrival_ms >= last);
             last = r.arrival_ms;
+        }
+    }
+
+    /// The window's hit/miss sequence equals that of a plain FIFO with a
+    /// linear `contains`, at small and default capacities, on seeded block
+    /// streams with repeats and working sets just under, at and over the
+    /// capacity.
+    #[test]
+    fn reuse_window_matches_linear_fifo() {
+        let mut rng = dpm_obs::XorShift64Star::new(0xb10c4);
+        for cap in [1usize, 2, 16, 128] {
+            for working_set in [cap.saturating_sub(1).max(1), cap, cap + 1, 2 * cap + 3] {
+                let mut window = ReuseWindow::with_capacity(cap);
+                let mut fifo: VecDeque<u64> = VecDeque::new();
+                let base = rng.next_u64() >> 8;
+                let mut hits = 0;
+                for step in 0..20_000u64 {
+                    let block = match rng.range_i64(0, 3) {
+                        // Sequential sweep over the working set.
+                        0 => base + step % working_set as u64,
+                        // Immediate repeat of the newest block.
+                        1 => fifo.back().copied().unwrap_or(base),
+                        // Random block, far-apart ids included.
+                        2 => base + rng.range_i64(0, working_set as i64 - 1) as u64 * 4099,
+                        _ => base + rng.range_i64(0, working_set as i64 - 1) as u64,
+                    };
+                    let want = fifo.contains(&block);
+                    if !want {
+                        if fifo.len() == cap {
+                            fifo.pop_front();
+                        }
+                        fifo.push_back(block);
+                    }
+                    assert_eq!(
+                        window.hit_or_insert(block, cap),
+                        want,
+                        "cap {cap}, working set {working_set}, step {step}, block {block}"
+                    );
+                    hits += usize::from(want);
+                }
+                assert!(hits > 0, "cap {cap}: the stream never hit");
+            }
         }
     }
 }
